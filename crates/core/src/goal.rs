@@ -206,7 +206,7 @@ fn compress_rung(t_w: DMatrix, w: usize, opts: &GoalOptions) -> GoalRung {
     match opts.rank {
         Some(r) if r < t_w.nrows().min(t_w.ncols()) => {
             let svd = SvdOptions {
-                seed: opts.svd.seed ^ (w as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+                seed: window::rung_seed(opts.svd.seed, w),
                 ..opts.svd
             };
             let (map, trunc_bound) = FactoredMap::compress(&t_w, r, svd);

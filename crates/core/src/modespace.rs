@@ -111,7 +111,7 @@ pub struct ModeSpaceRung {
 /// The mode-space assimilation ladder: per-rung reduced operators over a
 /// shared POD observation basis, plus the data-independent posterior
 /// stds. Built offline once; the online tick is `r`-sized folds and
-/// `r × B` GEMMs only (`AssimilateBackend::ModeSpace` in the stream
+/// `r × B` GEMMs only (`StreamEngine::mode_space` in the stream
 /// crate).
 pub struct ModeSpaceLadder {
     /// Window lengths in observation steps, strictly increasing (same
@@ -252,8 +252,8 @@ impl ModeSpaceLadder {
 
 /// Reduce one rung: materialize `T_w`, absorb the Gram pseudo-inverse of
 /// the basis restriction, and compute the exact residual bounds. The SVD
-/// seed is varied per rung by the same window-length mix as the
-/// goal-oriented ladder, so rebuilds are bitwise reproducible.
+/// seed is varied per rung by [`window::rung_seed`], so rebuilds are
+/// bitwise reproducible.
 fn reduce_rung(
     p1: &Phase1,
     p2: &Phase2,
@@ -269,7 +269,7 @@ fn reduce_rung(
     let u_k = DMatrix::from_fn(k, r, |i, j| modes[(i, j)]);
     let svd = {
         let seeded = SvdOptions {
-            seed: opts.svd.seed ^ (w as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15),
+            seed: window::rung_seed(opts.svd.seed, w),
             ..opts.svd
         };
         randomized_svd(&u_k, r, seeded)

@@ -106,6 +106,14 @@ pub(crate) fn normalize_windows(windows: &[usize], nt: usize) -> Vec<usize> {
     ws
 }
 
+/// Per-rung randomized-SVD seed: the rung's window length `w` mixed into
+/// the base seed by the 64-bit golden-ratio constant, so rungs draw
+/// independent Gaussian test matrices and rebuilds stay bitwise
+/// reproducible. Shared by the goal-oriented and mode-space ladders.
+pub(crate) fn rung_seed(seed: u64, w: usize) -> u64 {
+    seed ^ (w as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+}
+
 /// One rung's dense data-to-QoI operator and posterior std: `T_w = B_w
 /// K_w⁻¹` (`Nq·Nt × k`) via one panel-blocked leading solve (the factor
 /// is walked once per panel, not once per QoI row), and `√diag(Γpost(q;

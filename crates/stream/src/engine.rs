@@ -1,43 +1,50 @@
-//! The streaming engine: micro-batching concurrent sessions through the
-//! multi-RHS windowed online path, sharded by session across workers.
+//! The streaming engine: micro-batching concurrent sessions through one
+//! per-rung operator spine, sharded by session across workers.
 //!
 //! Event loop shape: producers call [`StreamEngine::push`] (exclusive) or
 //! [`StreamEngine::enqueue`] (lock-free, shared — one atomic stack push)
 //! as sensor packets arrive (any granularity — single samples, partial
 //! steps, whole bursts), and the operator drives [`StreamEngine::tick`]
-//! on its service cadence. A tick does four things, each independently
-//! per shard:
+//! on its service cadence.
 //!
-//! 1. **Inbox drain** — samples enqueued since the last tick are folded
-//!    into their sessions' rings (FIFO per shard).
-//! 2. **Sequential identification** — each session's newly arrived rows
-//!    update its per-scenario squared misfit against the bank's clean
-//!    observation curves in one blocked `rows × scenarios` GEMM
-//!    ([`crate::identify::score_group_gemm`]), the sequential Bayesian
-//!    update of Nomura et al. (arXiv:2407.03631) at bank-scale cost.
-//!    With a [`PodBank`] attached and [`IdentifyBackend::ModeSpace`]
-//!    selected, the same update runs in POD mode space instead: new rows
-//!    fold into an `r`-dimensional running projection and all `B`
-//!    misfits are materialized from it at `r × B` cost — the ROM
-//!    identification of Fujita et al., with the exact path retained as
-//!    the oracle.
-//! 3. **Micro-batched assimilation** — sessions whose complete-step count
-//!    crossed a new rung of the window ladder are grouped *by rung* and
-//!    driven through one batched window inference + forecast per group
-//!    ([`tsunami_core::infer_window_batch`] /
-//!    [`tsunami_core::WindowedForecaster::forecast_batch`]), so the whole
-//!    group pays one leading-block factor walk per panel instead of one
-//!    per session. With a [`ModeSpaceLadder`] attached and
-//!    [`AssimilateBackend::ModeSpace`] selected, the rung groups skip
-//!    the window panels and leading-block solves entirely: drained rows
-//!    fold once into each session's rank-`r` POD projection — *shared*
-//!    with mode-space identification when both backends are mode-space,
-//!    so no row is ever folded twice ([`TickMetrics::samples_projected`])
-//!    — and inference + forecast materialize from `r × B` GEMMs against
-//!    the precomputed reduced operators, certified by per-rung
-//!    truncation bounds ([`tsunami_core::ModeSpaceRung::trunc_bound`]).
-//! 4. **Classification** — each assimilated session's forecast band is
-//!    classified against the warning threshold.
+//! The online phase is one fixed linear map per observation window: fold
+//! the arrived data into a small state, apply the crossed rung's
+//! operator, classify. The ladder handed to the constructor decides what
+//! the state and the operator are ([`Assimilator`]):
+//!
+//! - [`StreamEngine::new`] (a [`WindowedForecaster`]): the state is the
+//!   ring prefix itself and the operator the dense `T_w`, with the
+//!   optional batched window inference ([`infer_window_batch`]).
+//! - [`StreamEngine::goal_oriented`] (a [`GoalLadder`], arXiv:2501.14911):
+//!   each rung folds `z_w += R_wᵀ d` into a rank-sized state (a copy on
+//!   exact rungs, so the exact ladder bit-matches the windowed engine)
+//!   and materializes `L_w · Z`; [`StreamConfig::infer`] is ignored.
+//! - [`StreamEngine::mode_space`] (a [`ModeSpaceLadder`]): one running
+//!   POD projection `a += Uᵀd`, snapshotted at every rung boundary,
+//!   feeds the reduced operators `F̃_w` (and `M̃_w` with inference) —
+//!   and, under [`IdentifyBackend::ModeSpace`], identification too, so
+//!   each drained row is folded once ([`TickMetrics::samples_projected`]).
+//!   Truncated ranks are certified by
+//!   [`tsunami_core::ModeSpaceRung::trunc_bound`].
+//!
+//! A tick runs the same stages on every ladder, each independently per
+//! shard:
+//!
+//! 1. **Drain** — samples enqueued since the last tick land in their
+//!    sessions' rings (FIFO per shard).
+//! 2. **Fold** — newly arrived rows fold into each session's running
+//!    projection and per-rung fold state.
+//! 3. **Identify** — with a bank attached, each session's per-scenario
+//!    misfit is updated in one blocked `rows × scenarios` GEMM
+//!    ([`crate::identify::score_group_gemm`]; the sequential Bayesian
+//!    update of Nomura et al., arXiv:2407.03631), or materialized from
+//!    the POD projection at `r × B` cost under
+//!    [`IdentifyBackend::ModeSpace`] (Fujita et al.).
+//! 4. **Materialize and classify** — sessions that crossed a new rung are
+//!    grouped by rung and, per bounded chunk, their inputs gathered into
+//!    one panel `X`, multiplied as `A_w · X`, scattered, classified
+//!    against the warning threshold (failing closed on a NaN band), and
+//!    audited.
 //!
 //! ## Sharding
 //!
@@ -78,7 +85,7 @@
 //! Warning-level changes additionally land in a bounded audit ring
 //! ([`StreamEngine::audit`]): each [`WarningTransition`] captures the
 //! session, tick, rung, credible band, top posterior scenario, and
-//! forecast backend at classification time. Transitions are collected in
+//! assimilator at classification time. Transitions are collected in
 //! per-shard scratch during the parallel fan-out and merged shard-major
 //! after the barrier, so the ring needs no locks and its order is
 //! deterministic for a given shard count.
@@ -117,60 +124,19 @@ pub enum IdentifyBackend {
     ModeSpace,
 }
 
-/// Which forecast path a tick's assimilation stage runs.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum ForecastBackend {
-    /// Dense windowed operators: gather each rung group's window panel
-    /// and run [`WindowedForecaster::forecast_batch`]'s GEMM over the
-    /// full window data, plus the optional windowed parameter inference.
-    /// Requires a forecaster ([`StreamEngine::new`]).
-    #[default]
+/// Which per-rung operator family assimilates rung crossings — fixed by
+/// the constructor that received the ladder (see the
+/// [module docs](self)) and recorded in every audit record.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum Assimilator {
+    /// Dense windowed operators over the ring prefix
+    /// ([`StreamEngine::new`]).
     Windowed,
-    /// Goal-oriented factored operators ([`GoalLadder`]): newly drained
-    /// samples fold incrementally into each session's per-rung state
-    /// `z += R_wᵀ d` (rank-sized, sharing the blocked
-    /// [`crate::identify::project_group`] kernel with the POD path), and
-    /// a rung crossing materializes all queued QoI means as one
-    /// `L_w · Z` GEMM plus the precomputed std — no Cholesky walk, no
-    /// window re-reads. [`StreamConfig::infer`] is ignored on this path
-    /// ([`StreamSession::m_norm`] stays `None`): skipping the factor
-    /// walk is the whole point. An exact (uncompressed) ladder
-    /// reproduces the windowed forecasts bitwise; truncated ranks are
-    /// within each rung's [`tsunami_core::GoalRung::trunc_bound`].
-    /// Requires a ladder ([`StreamEngine::goal_oriented`] /
-    /// [`StreamEngine::with_goal`]).
-    GoalOriented,
-}
-
-/// Which assimilation path a tick's stage 3 runs. Orthogonal to
-/// [`ForecastBackend`]: `FullSpace` keeps stage 3 on the configured
-/// forecast backend; `ModeSpace` supersedes it entirely.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum AssimilateBackend {
-    /// Stage 3 runs the configured [`ForecastBackend`] unchanged — the
-    /// windowed path's leading-block solves act in full observation
-    /// space.
-    #[default]
-    FullSpace,
-    /// Mode-space assimilation ([`ModeSpaceLadder`]): drained samples
-    /// fold **once** into a per-session rank-`r` POD projection
-    /// (`a += U_kᵀ d`, snapshotted at every rung boundary), and a rung
-    /// crossing materializes inference + forecast + classification
-    /// entirely from `r × B` GEMMs against the precomputed reduced
-    /// operators — no full-space window panel, no leading-block solve
-    /// online. When identification is also
-    /// [`IdentifyBackend::ModeSpace`] over the *same* basis, the fold
-    /// is shared with the identification projection (each drained row
-    /// is folded exactly once per tick;
-    /// [`TickMetrics::samples_projected`] proves it). A complete
-    /// (square) basis reproduces the windowed engine within
-    /// cancellation slack; truncated ranks are certified by each rung's
-    /// [`tsunami_core::ModeSpaceRung::trunc_bound`]. Unlike
-    /// [`ForecastBackend::GoalOriented`], [`StreamConfig::infer`] is
-    /// honored: the reduced `M̃_w` GEMM fills
-    /// [`StreamSession::m_norm`] when the ladder was built with
-    /// [`tsunami_core::ModeSpaceOptions::inference`]. Requires a ladder
-    /// ([`StreamEngine::mode_space`] / [`StreamEngine::with_modespace`]).
+    /// Goal-oriented factored operators over per-rung folds
+    /// ([`StreamEngine::goal_oriented`]).
+    Goal,
+    /// Reduced operators over rung snapshots of the POD projection
+    /// ([`StreamEngine::mode_space`]).
     ModeSpace,
 }
 
@@ -182,9 +148,11 @@ pub struct StreamConfig {
     pub chunk: usize,
     /// Wave-height threshold (m) for the warning classification.
     pub warn_threshold: f64,
-    /// Also run the windowed parameter inference each tick (the forecast
-    /// alone is cheaper; inference adds the batched `K_w⁻¹` solve + FFT
-    /// pass and fills [`StreamSession::m_norm`]).
+    /// Also run the parameter inference at each rung crossing (the
+    /// windowed `K_w⁻¹` solve + FFT pass, or the reduced `M̃_w` GEMM on a
+    /// mode-space ladder built with
+    /// [`tsunami_core::ModeSpaceOptions::inference`]), filling
+    /// [`StreamSession::m_norm`]. Ignored on a goal-oriented ladder.
     pub infer: bool,
     /// Session shards ticked in parallel (see the [module docs](self)).
     /// Must be ≥ 1; 1 recovers the exact pre-shard sequential engine.
@@ -193,14 +161,6 @@ pub struct StreamConfig {
     /// default; [`IdentifyBackend::ModeSpace`] needs an attached
     /// [`PodBank`]).
     pub identify: IdentifyBackend,
-    /// Forecast backend ([`ForecastBackend::Windowed`] by default;
-    /// [`ForecastBackend::GoalOriented`] needs an attached
-    /// [`GoalLadder`]).
-    pub forecast: ForecastBackend,
-    /// Assimilation backend ([`AssimilateBackend::FullSpace`] by
-    /// default; [`AssimilateBackend::ModeSpace`] needs an attached
-    /// [`ModeSpaceLadder`] and supersedes `forecast` in stage 3).
-    pub assimilate: AssimilateBackend,
     /// Capacity of the warning audit ring ([`StreamEngine::audit`]): the
     /// newest this many [`WarningTransition`] records are retained, older
     /// ones evicted with accounting. Must be ≥ 1.
@@ -215,8 +175,6 @@ impl Default for StreamConfig {
             infer: true,
             shards: 1,
             identify: IdentifyBackend::Exact,
-            forecast: ForecastBackend::Windowed,
-            assimilate: AssimilateBackend::FullSpace,
             audit_capacity: 1024,
         }
     }
@@ -244,14 +202,12 @@ pub struct TickMetrics {
     /// Newly arrived samples folded into scenario scores this tick.
     pub samples_scored: usize,
     /// Newly arrived samples folded into goal-oriented per-rung states
-    /// this tick (0 under [`ForecastBackend::Windowed`]).
+    /// this tick (0 unless the ladder is a [`GoalLadder`]).
     pub samples_folded: usize,
     /// Newly arrived samples folded into POD running projections this
-    /// tick — counted **once per row** even when mode-space
-    /// identification and mode-space assimilation share the fold (the
-    /// no-double-fold guarantee of [`AssimilateBackend::ModeSpace`]:
-    /// with both backends mode-space this equals the rows that arrived,
-    /// never 2×).
+    /// tick — counted **once per row**: a mode-space engine's one
+    /// projection serves both assimilation and mode-space
+    /// identification, so this equals the rows that arrived, never 2×.
     pub samples_projected: usize,
     /// Samples accepted from the lock-free inboxes this tick (the
     /// [`StreamEngine::enqueue`] path; direct pushes count at push time).
@@ -342,13 +298,8 @@ pub struct WarningTransition {
     /// session's identification posterior at classification time — `None`
     /// when no scenario bank is attached.
     pub top_scenario: Option<(usize, f64)>,
-    /// Forecast backend configured at classification time. When
-    /// `assimilate` is [`AssimilateBackend::ModeSpace`] the stage-3 path
-    /// was the mode-space one and this records the superseded setting.
-    pub backend: ForecastBackend,
-    /// Assimilation backend that actually produced the classified
-    /// forecast.
-    pub assimilate: AssimilateBackend,
+    /// Operator family that produced the classified forecast.
+    pub assimilator: Assimilator,
 }
 
 /// Cached per-stage span histogram handles into the engine's
@@ -516,19 +467,16 @@ struct ShardTick {
 }
 
 /// Per-shard assimilation scratch, reused across ticks so steady-state
-/// ticks allocate nothing: the gather block (windowed data panel `k × b`
-/// or goal-oriented fold block `r × b`) and the materialized QoI output
-/// block `nq × b`. The vecs round-trip through [`DMatrix::from_vec`] /
-/// [`DMatrix::into_vec`] each chunk; `clear` + `resize` within retained
-/// capacity never reallocates once the high-water chunk shape has been
-/// seen.
+/// ticks allocate nothing: the gathered input panel `X` (`k × b` ring
+/// prefixes or `r × b` folds), the QoI block `nq × b`, and the reduced
+/// inference block `(Nm·Nt) × b` of a mode-space ladder. The vecs
+/// round-trip through [`DMatrix::from_vec`] / [`DMatrix::into_vec`] each
+/// chunk ([`take_block`]); `clear` + `resize` within retained capacity
+/// never reallocates once the high-water chunk shape has been seen.
 #[derive(Default)]
 struct ShardArena {
     panel: Vec<f64>,
     q_block: Vec<f64>,
-    /// Mode-space reduced-inference output block `(Nm·Nt) × b` (only
-    /// touched by [`AssimilateBackend::ModeSpace`] ticks with
-    /// [`StreamConfig::infer`]).
     m_block: Vec<f64>,
 }
 
@@ -537,6 +485,14 @@ impl ShardArena {
         (self.panel.capacity() + self.q_block.capacity() + self.m_block.capacity())
             * std::mem::size_of::<f64>()
     }
+}
+
+/// Take `buf` as a zeroed `rows × cols` block, reusing its capacity.
+fn take_block(buf: &mut Vec<f64>, rows: usize, cols: usize) -> DMatrix {
+    let mut v = std::mem::take(buf);
+    v.clear();
+    v.resize(rows * cols, 0.0);
+    DMatrix::from_vec(rows, cols, v)
 }
 
 /// One session shard: its slice of the session table, freelist, and
@@ -577,14 +533,81 @@ impl Shard {
     }
 }
 
+/// The window ladder the constructor fixed: it selects the fold state
+/// and the per-rung operator of every tick (see [`Assimilator`]).
+#[derive(Clone, Copy)]
+enum Ladder<'a> {
+    Windowed(&'a WindowedForecaster),
+    Goal(&'a GoalLadder),
+    ModeSpace(&'a ModeSpaceLadder),
+}
+
+impl<'a> Ladder<'a> {
+    fn assimilator(self) -> Assimilator {
+        match self {
+            Ladder::Windowed(_) => Assimilator::Windowed,
+            Ladder::Goal(_) => Assimilator::Goal,
+            Ladder::ModeSpace(_) => Assimilator::ModeSpace,
+        }
+    }
+
+    /// Rung lengths in observation steps.
+    fn windows(self) -> &'a [usize] {
+        match self {
+            Ladder::Windowed(f) => &f.windows,
+            Ladder::Goal(g) => &g.windows,
+            Ladder::ModeSpace(m) => &m.windows,
+        }
+    }
+
+    fn nd(self) -> usize {
+        match self {
+            Ladder::Windowed(f) => f.nd,
+            Ladder::Goal(g) => g.nd,
+            Ladder::ModeSpace(m) => m.nd,
+        }
+    }
+
+    /// The mode-space observation basis `U`, if any.
+    fn modes(self) -> Option<&'a DMatrix> {
+        match self {
+            Ladder::ModeSpace(m) => Some(m.modes()),
+            _ => None,
+        }
+    }
+
+    /// Per-session fold length: concatenated goal states, or one rank-`r`
+    /// projection snapshot per mode-space rung.
+    fn fold_len(self) -> usize {
+        match self {
+            Ladder::Windowed(_) => 0,
+            Ladder::Goal(g) => g.fold_len(),
+            Ladder::ModeSpace(m) => m.windows.len() * m.rank(),
+        }
+    }
+
+    /// Rung `w`'s left map `A_w` (its column count is the input length),
+    /// QoI std, and where each session's input lives: the ring prefix
+    /// (`None`) or the fold slice at this offset.
+    fn rung(self, w: usize) -> (&'a DMatrix, &'a [f64], Option<usize>) {
+        match self {
+            Ladder::Windowed(f) => (&f.q_maps[w], &f.q_stds[w], None),
+            Ladder::Goal(g) => (g.rungs[w].map.left(), &g.q_stds[w], Some(g.fold_offset(w))),
+            Ladder::ModeSpace(m) => (&m.rungs[w].q_map, &m.q_stds[w], Some(w * m.rank())),
+        }
+    }
+}
+
 /// Read-only per-tick context shared by every shard's local tick.
 struct TickCtx<'t> {
     twin: &'t DigitalTwin,
-    forecaster: Option<&'t WindowedForecaster>,
-    goal: Option<&'t GoalLadder>,
+    ladder: Ladder<'t>,
     bank: Option<&'t ScenarioBank>,
+    /// The POD bank when identification runs in mode space.
     pod: Option<&'t PodBank>,
-    modespace: Option<&'t ModeSpaceLadder>,
+    /// Basis of the running projection when this tick folds one: the
+    /// mode-space ladder's, else the POD bank's.
+    basis: Option<&'t DMatrix>,
     sq_prefix: &'t [f64],
     config: StreamConfig,
     n_shards: usize,
@@ -602,50 +625,13 @@ struct TickCtx<'t> {
     tick_no: u64,
 }
 
-impl TickCtx<'_> {
-    /// True when mode-space identification and mode-space assimilation
-    /// fold the drained rows into the *same* per-session projection
-    /// (`pod_coeff`) — the no-double-fold configuration.
-    fn shared_fold(&self) -> bool {
-        self.bank.is_some()
-            && self.config.identify == IdentifyBackend::ModeSpace
-            && self.config.assimilate == AssimilateBackend::ModeSpace
-    }
-
-    /// The active backend's window ladder (lengths in observation steps).
-    fn windows(&self) -> &[usize] {
-        if self.config.assimilate == AssimilateBackend::ModeSpace {
-            return &self
-                .modespace
-                .expect("mode-space assimilation without a ladder")
-                .windows;
-        }
-        match self.config.forecast {
-            ForecastBackend::Windowed => {
-                &self
-                    .forecaster
-                    .expect("windowed backend without a forecaster")
-                    .windows
-            }
-            ForecastBackend::GoalOriented => {
-                &self.goal.expect("goal backend without a ladder").windows
-            }
-        }
-    }
-}
-
 /// The streaming assimilation engine (see the [module docs](self)).
 pub struct StreamEngine<'a> {
     twin: &'a DigitalTwin,
-    forecaster: Option<&'a WindowedForecaster>,
-    /// Goal-oriented factored ladder (goal-oriented forecasting).
-    goal: Option<&'a GoalLadder>,
+    ladder: Ladder<'a>,
     bank: Option<&'a ScenarioBank>,
     /// POD compression of the attached bank (mode-space identification).
     pod: Option<&'a PodBank>,
-    /// Reduced per-rung operators over the POD observation basis
-    /// (mode-space assimilation).
-    modespace: Option<&'a ModeSpaceLadder>,
     /// Prefix sums of the bank's squared clean observations
     /// ([`identify::sq_prefix`]), computed once at attach time.
     bank_sq_prefix: Vec<f64>,
@@ -660,8 +646,7 @@ pub struct StreamEngine<'a> {
     spans: TickSpans,
     /// Cached counter/gauge handles into `obs`.
     counters: EngineCounters,
-    /// Per-rung assimilation span histograms, grown to the active
-    /// ladder's length on first tick.
+    /// Per-rung assimilation span histograms, one per ladder rung.
     rung_spans: Vec<Arc<Histogram>>,
     /// Per-shard whole-tick span histograms.
     shard_spans: Vec<Arc<Histogram>>,
@@ -673,61 +658,58 @@ pub struct StreamEngine<'a> {
 }
 
 impl<'a> StreamEngine<'a> {
-    /// A new engine over a precomputed twin and window ladder.
+    /// A windowed engine: rung crossings apply the dense window
+    /// operators to the ring prefix, with the batched window inference
+    /// when [`StreamConfig::infer`] is set — the exact oracle path.
     pub fn new(
         twin: &'a DigitalTwin,
         forecaster: &'a WindowedForecaster,
         config: StreamConfig,
     ) -> Self {
-        assert_eq!(
-            forecaster.nd,
-            twin.solver.sensors.len(),
-            "forecaster and twin disagree on the sensor count"
-        );
-        Self::with_backends(twin, Some(forecaster), None, config)
+        Self::with_ladder(twin, Ladder::Windowed(forecaster), config)
     }
 
     /// A goal-oriented engine: forecasting runs entirely through the
-    /// precomputed factored ladder ([`ForecastBackend::GoalOriented`] is
-    /// forced), so no dense [`WindowedForecaster`] — and none of its
-    /// `O(Nq · Σ w·Nd)` resident memory — is needed at all. This is the
-    /// memory-feasible service configuration the offline/online split
-    /// exists for.
+    /// precomputed factored ladder, so no dense [`WindowedForecaster`] —
+    /// and none of its `O(Nq · Σ w·Nd)` resident memory — is needed at
+    /// all. An exact ladder reproduces [`Self::new`]'s forecasts
+    /// bitwise; truncated ranks stay within each rung's
+    /// [`tsunami_core::GoalRung::trunc_bound`].
     pub fn goal_oriented(
         twin: &'a DigitalTwin,
         goal: &'a GoalLadder,
-        mut config: StreamConfig,
+        config: StreamConfig,
     ) -> Self {
-        assert_eq!(
-            goal.nd,
-            twin.solver.sensors.len(),
-            "goal ladder and twin disagree on the sensor count"
-        );
-        config.forecast = ForecastBackend::GoalOriented;
-        Self::with_backends(twin, None, Some(goal), config)
+        Self::with_ladder(twin, Ladder::Goal(goal), config)
     }
 
-    /// A mode-space engine: assimilation runs entirely through the
-    /// precomputed reduced ladder ([`AssimilateBackend::ModeSpace`] is
-    /// forced), so no dense [`WindowedForecaster`] is needed and every
-    /// online stage — drain, identify, fold, assimilate, classify — is
-    /// rank-sized. The full-space engine stays available as the oracle
-    /// via [`StreamEngine::new`].
+    /// A mode-space engine: every online stage — drain, fold, identify,
+    /// assimilate, classify — is rank-sized. A complete basis reproduces
+    /// [`Self::new`] within cancellation slack.
+    ///
+    /// # Panics
+    ///
+    /// If `config.infer` is set but the ladder was built without
+    /// [`tsunami_core::ModeSpaceOptions::inference`].
     pub fn mode_space(
         twin: &'a DigitalTwin,
         ms: &'a ModeSpaceLadder,
-        mut config: StreamConfig,
-    ) -> Self {
-        config.assimilate = AssimilateBackend::ModeSpace;
-        Self::with_backends(twin, None, None, config).with_modespace(ms)
-    }
-
-    fn with_backends(
-        twin: &'a DigitalTwin,
-        forecaster: Option<&'a WindowedForecaster>,
-        goal: Option<&'a GoalLadder>,
         config: StreamConfig,
     ) -> Self {
+        assert!(
+            !config.infer || ms.has_inference(),
+            "infer: true on a mode-space engine needs a ladder built \
+             with ModeSpaceOptions {{ inference: true, .. }}"
+        );
+        Self::with_ladder(twin, Ladder::ModeSpace(ms), config)
+    }
+
+    fn with_ladder(twin: &'a DigitalTwin, ladder: Ladder<'a>, config: StreamConfig) -> Self {
+        assert_eq!(
+            ladder.nd(),
+            twin.solver.sensors.len(),
+            "ladder and twin disagree on the sensor count"
+        );
         assert!(config.chunk >= 1, "chunk must be at least 1");
         assert!(config.shards >= 1, "shards must be at least 1");
         assert!(
@@ -737,16 +719,17 @@ impl<'a> StreamEngine<'a> {
         let obs = Registry::new();
         let spans = TickSpans::new(&obs);
         let counters = EngineCounters::new(&obs);
+        let rung_spans = (0..ladder.windows().len())
+            .map(|w| obs.histogram(&format!("stream.rung.{w}.assimilate")))
+            .collect();
         let shard_spans = (0..config.shards)
             .map(|i| obs.histogram(&format!("stream.shard.{i}.tick")))
             .collect();
         StreamEngine {
             twin,
-            forecaster,
-            goal,
+            ladder,
             bank: None,
             pod: None,
-            modespace: None,
             bank_sq_prefix: Vec::new(),
             config,
             shards: (0..config.shards).map(Shard::new).collect(),
@@ -755,89 +738,11 @@ impl<'a> StreamEngine<'a> {
             obs,
             spans,
             counters,
-            rung_spans: Vec::new(),
+            rung_spans,
             shard_spans,
             audit: AuditRing::new(config.audit_capacity),
             last_pool: rayon::pool_stats(),
         }
-    }
-
-    /// Attach a goal-oriented factored ladder to a windowed engine,
-    /// enabling [`ForecastBackend::GoalOriented`] ticks alongside the
-    /// dense path (A/B comparison; a pure goal-oriented service should
-    /// use [`Self::goal_oriented`] instead and skip building the dense
-    /// forecaster entirely). Every session gains the ladder's
-    /// rank-sized fold state.
-    pub fn with_goal(mut self, goal: &'a GoalLadder) -> Self {
-        assert_eq!(
-            goal.nd,
-            self.twin.solver.sensors.len(),
-            "goal ladder and twin disagree on the sensor count"
-        );
-        if let Some(wf) = self.forecaster {
-            assert_eq!(
-                goal.windows, wf.windows,
-                "goal ladder and forecaster disagree on the window ladder"
-            );
-        }
-        for s in self.shards.iter().flat_map(|sh| &sh.sessions) {
-            assert!(
-                s.samples() == 0,
-                "attach the goal ladder before any samples arrive"
-            );
-        }
-        let fold_len = goal.fold_len();
-        for s in self.shards.iter_mut().flat_map(|sh| &mut sh.sessions) {
-            s.goal_fold.clear();
-            s.goal_fold.resize(fold_len, 0.0);
-        }
-        self.goal = Some(goal);
-        self
-    }
-
-    /// Attach a mode-space assimilation ladder, enabling
-    /// [`AssimilateBackend::ModeSpace`] ticks. Every session gains the
-    /// rank-sized per-rung fold state. When a [`PodBank`] is also
-    /// attached (either order), the two must share the observation basis
-    /// bit for bit — that is what lets mode-space identification and
-    /// assimilation fold each drained row exactly once.
-    pub fn with_modespace(mut self, ms: &'a ModeSpaceLadder) -> Self {
-        assert_eq!(
-            ms.nd,
-            self.twin.solver.sensors.len(),
-            "mode-space ladder and twin disagree on the sensor count"
-        );
-        if let Some(wf) = self.forecaster {
-            assert_eq!(
-                ms.windows, wf.windows,
-                "mode-space ladder and forecaster disagree on the window ladder"
-            );
-        }
-        if let Some(goal) = self.goal {
-            assert_eq!(
-                ms.windows, goal.windows,
-                "mode-space ladder and goal ladder disagree on the window ladder"
-            );
-        }
-        if let Some(pod) = self.pod {
-            assert_same_basis(pod, ms);
-        }
-        for s in self.shards.iter().flat_map(|sh| &sh.sessions) {
-            assert!(
-                s.samples() == 0,
-                "attach the mode-space ladder before any samples arrive"
-            );
-        }
-        let (nr, r) = (ms.windows.len(), ms.rank());
-        for s in self.shards.iter_mut().flat_map(|sh| &mut sh.sessions) {
-            s.ms_fold.clear();
-            s.ms_fold.resize(nr * r, 0.0);
-            s.ms_proj.clear();
-            s.ms_proj.resize(r, 0.0);
-            s.ms_folded = 0;
-        }
-        self.modespace = Some(ms);
-        self
     }
 
     /// Attach a scenario bank: every arrived sample then also updates the
@@ -849,12 +754,7 @@ impl<'a> StreamEngine<'a> {
             self.twin.n_data(),
             "bank and twin disagree on the data dimension"
         );
-        for s in self.shards.iter().flat_map(|sh| &sh.sessions) {
-            assert!(
-                s.samples() == 0,
-                "attach the bank before any samples arrive"
-            );
-        }
+        self.assert_no_samples("the bank");
         // Resize every session's misfit accumulator in place (no
         // realloc when capacity suffices) instead of swapping in a
         // fresh vec per session.
@@ -869,9 +769,12 @@ impl<'a> StreamEngine<'a> {
 
     /// Attach a POD compression of the bank, enabling
     /// [`IdentifyBackend::ModeSpace`] ticks. Must agree with the attached
-    /// bank in shape (call [`Self::with_bank`] first). Every session gains
-    /// an `r`-dimensional running projection; the exact path stays
-    /// available as the oracle via [`StreamConfig::identify`].
+    /// bank in shape (call [`Self::with_bank`] first), and on a
+    /// mode-space engine must hold the ladder's basis bit for bit — that
+    /// is what lets identification and assimilation share one fold.
+    /// Every session gains an `r`-dimensional running projection; the
+    /// exact path stays available as the oracle via
+    /// [`StreamConfig::identify`].
     pub fn with_pod(mut self, pod: &'a PodBank) -> Self {
         let bank = self
             .bank
@@ -886,22 +789,35 @@ impl<'a> StreamEngine<'a> {
             bank.len(),
             "POD compression and bank disagree on the scenario count"
         );
-        for s in self.shards.iter().flat_map(|sh| &sh.sessions) {
+        self.assert_no_samples("the POD bank");
+        if let Some(u) = self.ladder.modes() {
             assert!(
-                s.samples() == 0,
-                "attach the POD bank before any samples arrive"
+                pod.modes().nrows() == u.nrows()
+                    && pod.modes().ncols() == u.ncols()
+                    && pod.modes().as_slice() == u.as_slice(),
+                "mode-space ladder and PodBank must share the observation basis bit for bit \
+                 (build the ladder from PodBank::modes())"
             );
-        }
-        if let Some(ms) = self.modespace {
-            assert_same_basis(pod, ms);
         }
         let r = pod.rank();
         for s in self.shards.iter_mut().flat_map(|sh| &mut sh.sessions) {
-            s.pod_coeff.clear();
-            s.pod_coeff.resize(r, 0.0);
+            s.proj.clear();
+            s.proj.resize(r, 0.0);
         }
         self.pod = Some(pod);
         self
+    }
+
+    /// The running projection's basis: the mode-space ladder's, else the
+    /// attached POD bank's.
+    fn basis(&self) -> Option<&'a DMatrix> {
+        self.ladder.modes().or(self.pod.map(PodBank::modes))
+    }
+
+    fn assert_no_samples(&self, what: &str) {
+        for s in self.shards.iter().flat_map(|sh| &sh.sessions) {
+            assert!(s.samples() == 0, "attach {what} before any samples arrive");
+        }
     }
 
     /// Map a session id to its `(shard, local slot)`, panicking with the
@@ -929,24 +845,21 @@ impl<'a> StreamEngine<'a> {
     pub fn open(&mut self) -> usize {
         let n = self.shards.len();
         let n_scen = self.bank.map_or(0, |b| b.len());
-        let n_modes = self.pod.map_or(0, |p| p.rank());
-        let fold_len = self.goal.map_or(0, |g| g.fold_len());
-        let (ms_rungs, ms_rank) = self
-            .modespace
-            .map_or((0, 0), |m| (m.windows.len(), m.rank()));
+        let n_proj = self.basis().map_or(0, |u| u.ncols());
+        let n_fold = self.ladder.fold_len();
         let si = self.next_open % n;
         self.next_open += 1;
         let nd = self.twin.solver.sensors.len();
         let capacity = self.twin.n_data();
         let shard = &mut self.shards[si];
         if let Some(local) = shard.free.pop() {
-            shard.sessions[local].reopen(n_scen, n_modes, fold_len, ms_rungs, ms_rank);
+            shard.sessions[local].reopen(n_scen, n_proj, n_fold);
             return shard.sessions[local].id;
         }
         let id = si + shard.sessions.len() * n;
-        shard.sessions.push(StreamSession::new(
-            id, capacity, nd, n_scen, n_modes, fold_len, ms_rungs, ms_rank,
-        ));
+        shard
+            .sessions
+            .push(StreamSession::new(id, capacity, nd, n_scen, n_proj, n_fold));
         self.metrics.rings_allocated += 1;
         id
     }
@@ -1059,25 +972,22 @@ impl<'a> StreamEngine<'a> {
     /// benchmarking support (identification scores are *not* reset — they
     /// are a pure function of the arrived samples).
     ///
-    /// The goal-oriented and mode-space fold states *are* reset (they are
-    /// re-derived from the ring; zeroing avoids double-folding the same
-    /// samples), so the next tick refolds `[0, filled)` in one pass —
-    /// bit-identical to a fresh engine that received the whole stream in
-    /// one push. Under the shared mode-space fold (identification *and*
-    /// assimilation both [`IdentifyBackend::ModeSpace`] /
-    /// [`AssimilateBackend::ModeSpace`]), the identification projection
-    /// carries the assimilation state, so `scored`, the running
-    /// projection, and the data energy reset with it — safe because the
-    /// mode-space misfit is *materialized* from the projection each pass,
-    /// never accumulated, and the refold reproduces it exactly.
+    /// The per-rung fold state *is* reset (it is re-derived from the
+    /// ring; zeroing avoids double-folding the same samples), so the next
+    /// tick refolds `[0, filled)` in one pass — bit-identical to a fresh
+    /// engine that received the whole stream in one push. On a mode-space
+    /// engine the running projection resets with it, and under
+    /// [`IdentifyBackend::ModeSpace`] so do `scored` and the data energy
+    /// that share it — safe because the mode-space misfit is
+    /// *materialized* from the projection each pass, never accumulated,
+    /// and the refold reproduces it exactly.
     ///
     /// Warning levels reset to [`WarningLevel::AllClear`] as well, so a
     /// replay re-classifies from scratch and the audit ring records the
     /// same transition sequence the original stream produced.
     pub fn rewind(&mut self) {
-        let shared = self.bank.is_some()
-            && self.config.identify == IdentifyBackend::ModeSpace
-            && self.config.assimilate == AssimilateBackend::ModeSpace;
+        let reproject = self.ladder.modes().is_some();
+        let rescore = reproject && self.pod_identify();
         for s in self
             .shards
             .iter_mut()
@@ -1085,14 +995,14 @@ impl<'a> StreamEngine<'a> {
             .filter(|s| s.active)
         {
             s.window_idx = None;
+            s.fold.fill(0.0);
             s.folded = 0;
-            s.goal_fold.fill(0.0);
-            s.ms_fold.fill(0.0);
-            s.ms_proj.fill(0.0);
-            s.ms_folded = 0;
-            if shared {
+            if reproject {
+                s.proj.fill(0.0);
+                s.projected = 0;
+            }
+            if rescore {
                 s.scored = 0;
-                s.pod_coeff.fill(0.0);
                 s.data_energy = 0.0;
                 s.data_energy_comp = 0.0;
             }
@@ -1100,11 +1010,16 @@ impl<'a> StreamEngine<'a> {
         }
     }
 
+    /// True when identification runs in POD mode space.
+    fn pod_identify(&self) -> bool {
+        self.bank.is_some() && self.config.identify == IdentifyBackend::ModeSpace
+    }
+
     /// Process everything that arrived since the last tick (see the
-    /// [module docs](self) for the four stages). Shards tick
-    /// independently — in parallel across the persistent worker pool when
-    /// `shards > 1`, with one barrier at the end — and their partial
-    /// metrics are merged here.
+    /// [module docs](self) for the stages). Shards tick independently —
+    /// in parallel across the persistent worker pool when `shards > 1`,
+    /// with one barrier at the end — and their partial metrics are
+    /// merged here.
     pub fn tick(&mut self) -> TickMetrics {
         let t0 = Instant::now();
         let on = tsunami_obs::enabled();
@@ -1112,52 +1027,13 @@ impl<'a> StreamEngine<'a> {
             self.config.identify == IdentifyBackend::Exact || self.pod.is_some(),
             "mode-space identification requires an attached PodBank (with_pod)"
         );
-        match self.config.assimilate {
-            AssimilateBackend::ModeSpace => {
-                let ms = self.modespace.expect(
-                    "mode-space assimilation requires an attached ModeSpaceLadder \
-                     (mode_space / with_modespace)",
-                );
-                assert!(
-                    !self.config.infer || ms.has_inference(),
-                    "infer: true under mode-space assimilation needs a ladder built \
-                     with ModeSpaceOptions {{ inference: true, .. }}"
-                );
-            }
-            AssimilateBackend::FullSpace => match self.config.forecast {
-                ForecastBackend::Windowed => assert!(
-                    self.forecaster.is_some(),
-                    "windowed forecasting requires a WindowedForecaster (StreamEngine::new)"
-                ),
-                ForecastBackend::GoalOriented => assert!(
-                    self.goal.is_some(),
-                    "goal-oriented forecasting requires an attached GoalLadder \
-                     (goal_oriented / with_goal)"
-                ),
-            },
-        }
-        // Grow the per-rung span table to the active ladder before the
-        // fan-out, so shards never touch the registry's name table
-        // (one-time work: idempotent after the first tick).
-        let n_rungs = match self.config.assimilate {
-            AssimilateBackend::ModeSpace => self.modespace.expect("asserted above").windows.len(),
-            AssimilateBackend::FullSpace => match self.config.forecast {
-                ForecastBackend::Windowed => self.forecaster.expect("asserted above").windows.len(),
-                ForecastBackend::GoalOriented => self.goal.expect("asserted above").windows.len(),
-            },
-        };
-        while self.rung_spans.len() < n_rungs {
-            let w = self.rung_spans.len();
-            self.rung_spans
-                .push(self.obs.histogram(&format!("stream.rung.{w}.assimilate")));
-        }
+        let pod = self.pod.filter(|_| self.pod_identify());
         let ctx = TickCtx {
             twin: self.twin,
-            forecaster: self.forecaster,
-            goal: self.goal,
+            ladder: self.ladder,
             bank: self.bank,
-            pod: self.pod,
-            modespace: self.modespace,
+            pod,
+            basis: self.ladder.modes().or(pod.map(PodBank::modes)),
             sq_prefix: &self.bank_sq_prefix,
             config: self.config,
             n_shards: self.shards.len(),
@@ -1338,7 +1214,7 @@ pub fn superpose_forecasts(matches: &[ScenarioMatch], bank_forecasts: &ForecastB
     }
 }
 
-/// One shard's tick: drain the inbox, score, assimilate, classify — all
+/// One shard's tick: drain, fold, identify, materialize, classify — all
 /// against this shard's sessions only. Runs on a pool worker when the
 /// engine ticks shards in parallel (nested bulk operations inside the
 /// batched window math then stay serial on that worker), or inline on
@@ -1360,6 +1236,7 @@ fn tick_shard(shard: &mut Shard, ctx: &TickCtx<'_>) {
     // 0; stage accumulators then stay 0 and nothing is recorded.
     let on = ctx.obs_on;
     let mut sw = Stopwatch::start(on);
+    let mut identify_ns = 0u64;
     let mut assim_ns = 0u64;
     let mut classify_ns = 0u64;
 
@@ -1376,146 +1253,76 @@ fn tick_shard(shard: &mut Shard, ctx: &TickCtx<'_>) {
     }
     let drain_ns = sw.lap();
 
-    // 2. Sequential identification of newly arrived samples: sessions
-    //    whose unscored range coincides (the common lockstep case) are
-    //    bucketed and scored together, so the shared operand (clean
-    //    block, or POD basis + coefficients) is streamed once per tick
-    //    rather than once per session; stragglers fall back to a group
-    //    of one.
-    if let Some(bank) = ctx.bank {
-        let mut buckets: BTreeMap<(usize, usize), Vec<&mut StreamSession>> = BTreeMap::new();
-        for s in sessions.iter_mut().filter(|s| s.active) {
-            let filled = s.ring.filled();
-            if s.scored < filled {
-                buckets.entry((s.scored, filled)).or_default().push(s);
-            }
-        }
-        match ctx.config.identify {
-            IdentifyBackend::Exact => {
-                // One grouped rows × scenarios GEMM per bucket against
-                // the full clean block; misfits accumulate per range.
-                let clean = bank.clean_observations();
-                for ((i0, i1), sessions) in buckets {
-                    let mut group: Vec<(&[f64], &mut [f64])> = sessions
-                        .into_iter()
-                        .map(|s| {
-                            s.scored = i1;
-                            let StreamSession { ring, misfit, .. } = s;
-                            (ring.prefix(i1), &mut misfit[..])
-                        })
-                        .collect();
-                    identify::score_group_gemm(clean, ctx.sq_prefix, i0, i1, &mut group);
-                    p.samples_scored += (i1 - i0) * group.len();
-                }
-            }
-            IdentifyBackend::ModeSpace => {
-                // Two grouped passes per bucket: fold the new rows into
-                // each session's running projection a = Uᵀd (and data
-                // energy ‖d‖², compensated), then materialize all B
-                // misfits from the r-dimensional projection — the
-                // bank-width work shrinks from rows × B to r × B.
-                let pod = ctx
-                    .pod
-                    .expect("mode-space tick without an attached PodBank");
-                // Shared fold: when assimilation is also mode-space, its
-                // per-rung inputs are snapshots of this same running
-                // projection, so the fold is segmented at the rung
-                // boundaries inside the range and the projection is
-                // copied out as each one is crossed — every drained row
-                // folds exactly once per tick. With full-space
-                // assimilation the boundary list is empty and the loop
-                // degenerates to the single-call fold.
-                let shared = ctx.shared_fold();
-                let bounds: Vec<usize> = if shared {
-                    let ms = ctx
-                        .modespace
-                        .expect("shared fold without a mode-space ladder");
-                    ms.windows.iter().map(|&w| w * ms.nd).collect()
-                } else {
-                    Vec::new()
-                };
-                let r = pod.rank();
-                for ((i0, i1), mut sessions) in buckets {
-                    let mut cuts: Vec<usize> = bounds
-                        .iter()
-                        .copied()
-                        .filter(|&k| k > i0 && k <= i1)
-                        .collect();
-                    cuts.push(i1);
-                    cuts.dedup();
-                    let mut prev = i0;
-                    for &cut in &cuts {
-                        if cut > prev {
-                            let mut proj: Vec<(&[f64], &mut [f64])> = sessions
-                                .iter_mut()
-                                .map(|s| {
-                                    let StreamSession {
-                                        ring, pod_coeff, ..
-                                    } = &mut **s;
-                                    (ring.prefix(cut), &mut pod_coeff[..])
-                                })
-                                .collect();
-                            identify::project_group(pod.modes(), prev, cut, &mut proj);
-                            prev = cut;
-                        }
-                        for (w, &kw) in bounds.iter().enumerate() {
-                            if kw == cut {
-                                for s in sessions.iter_mut() {
-                                    let StreamSession {
-                                        pod_coeff, ms_fold, ..
-                                    } = &mut **s;
-                                    ms_fold[w * r..(w + 1) * r].copy_from_slice(pod_coeff);
-                                }
-                            }
-                        }
-                    }
-                    for s in sessions.iter_mut() {
-                        s.scored = i1;
-                        if shared {
-                            s.ms_folded = i1;
-                        }
-                        s.accumulate_energy(i0, i1);
-                    }
-                    p.samples_projected += (i1 - i0) * sessions.len();
-                    let mut score: Vec<(f64, &[f64], &mut [f64])> = sessions
+    // 2. Fold. Sessions with a common unfolded range are bucketed so each
+    //    basis streams once per bucket. The running projection `a += Uᵀd`
+    //    is segmented at the mode-space rung boundaries and copied into
+    //    the rung's fold slice as each one is crossed, so identification
+    //    and assimilation read one fold and a split of the rows across
+    //    ticks never changes a snapshot's bits. Rows past the widest rung
+    //    carry no assimilation information and are clipped unless
+    //    identification reads the projection. The fold is identification
+    //    work when identification reads it, assimilation work otherwise.
+    if let Some(u) = ctx.basis {
+        let r = u.ncols();
+        let bounds: Vec<usize> = match ctx.ladder {
+            Ladder::ModeSpace(m) => m.windows.iter().map(|&w| w * m.nd).collect(),
+            _ => Vec::new(),
+        };
+        let cap = match bounds.last() {
+            Some(&k) if ctx.pod.is_none() => k,
+            _ => usize::MAX,
+        };
+        for ((i0, i1), mut members) in buckets(sessions, |s| s.projected) {
+            let (j0, j1) = (i0.min(cap), i1.min(cap));
+            let mut cuts: Vec<usize> = bounds
+                .iter()
+                .copied()
+                .filter(|&k| k > j0 && k <= j1)
+                .collect();
+            cuts.push(j1);
+            cuts.dedup();
+            let mut prev = j0;
+            for &cut in &cuts {
+                if cut > prev {
+                    let mut group: Vec<(&[f64], &mut [f64])> = members
                         .iter_mut()
                         .map(|s| {
-                            let StreamSession {
-                                data_energy,
-                                pod_coeff,
-                                misfit,
-                                ..
-                            } = &mut **s;
-                            (*data_energy, &pod_coeff[..], &mut misfit[..])
+                            let StreamSession { ring, proj, .. } = &mut **s;
+                            (ring.prefix(cut), &mut proj[..])
                         })
                         .collect();
-                    identify::score_group_pod(pod.mode_coeffs(), ctx.sq_prefix, i1, &mut score);
-                    p.samples_scored += (i1 - i0) * sessions.len();
+                    identify::project_group(u, prev, cut, &mut group);
+                    prev = cut;
+                }
+                for (w, _) in bounds
+                    .iter()
+                    .enumerate()
+                    .filter(|&(_, &k)| k == cut && k > j0)
+                {
+                    for s in members.iter_mut() {
+                        let StreamSession { proj, fold, .. } = &mut **s;
+                        fold[w * r..(w + 1) * r].copy_from_slice(proj);
+                    }
                 }
             }
+            for s in members.iter_mut() {
+                s.projected = i1;
+            }
+            p.samples_projected += (j1 - j0) * members.len();
+        }
+        let fold_ns = sw.lap();
+        if ctx.pod.is_some() {
+            identify_ns += fold_ns;
+        } else {
+            assim_ns += fold_ns;
         }
     }
-    let identify_ns = sw.lap();
-
-    // 2b. Goal-oriented fold: each session's newly arrived samples fold
-    //     into its per-rung running state `z_w += R_wᵀ d` — the
-    //     rank-sized online state of the goal-oriented split. Sessions
-    //     with a common unfolded range are bucketed so each rung's right
-    //     factor streams once per bucket (the same blocked projection
-    //     kernel as the POD path); exact rungs carry an implicit
-    //     identity right factor, so their fold is a straight copy of the
-    //     new rows. Ranges are clipped to each rung's window, which also
-    //     skips rungs a session has already fully folded.
-    if ctx.config.forecast == ForecastBackend::GoalOriented {
-        let goal = ctx.goal.expect("goal backend without a ladder");
-        let mut buckets: BTreeMap<(usize, usize), Vec<&mut StreamSession>> = BTreeMap::new();
-        for s in sessions.iter_mut().filter(|s| s.active) {
-            let filled = s.ring.filled();
-            if s.folded < filled {
-                buckets.entry((s.folded, filled)).or_default().push(s);
-            }
-        }
-        for ((i0, i1), mut members) in buckets {
+    //    A goal ladder folds `z_w += R_wᵀ d` per rung instead, each range
+    //    clipped to the rung's window (which also skips rungs already
+    //    fully folded); exact rungs carry an implicit identity right
+    //    factor, so their fold is a straight copy of the new rows.
+    if let Ladder::Goal(goal) = ctx.ladder {
+        for ((i0, i1), mut members) in buckets(sessions, |s| s.folded) {
             for (ri, rung) in goal.rungs.iter().enumerate() {
                 let k = goal.windows[ri] * goal.nd;
                 let (i0w, i1w) = (i0.min(k), i1.min(k));
@@ -1526,11 +1333,9 @@ fn tick_shard(shard: &mut Shard, ctx: &TickCtx<'_>) {
                 match rung.map.right() {
                     None => {
                         for s in members.iter_mut() {
-                            let StreamSession {
-                                ring, goal_fold, ..
-                            } = &mut **s;
-                            goal_fold[off + i0w..off + i1w]
-                                .copy_from_slice(&ring.prefix(i1w)[i0w..i1w]);
+                            let StreamSession { ring, fold, .. } = &mut **s;
+                            let rows = &ring.prefix(i1w)[i0w..i1w];
+                            fold[off + i0w..off + i1w].copy_from_slice(rows);
                         }
                     }
                     Some(rw) => {
@@ -1538,10 +1343,8 @@ fn tick_shard(shard: &mut Shard, ctx: &TickCtx<'_>) {
                         let mut group: Vec<(&[f64], &mut [f64])> = members
                             .iter_mut()
                             .map(|s| {
-                                let StreamSession {
-                                    ring, goal_fold, ..
-                                } = &mut **s;
-                                (ring.prefix(i1w), &mut goal_fold[off..off + rank])
+                                let StreamSession { ring, fold, .. } = &mut **s;
+                                (ring.prefix(i1w), &mut fold[off..off + rank])
                             })
                             .collect();
                         identify::project_group(rw, i0w, i1w, &mut group);
@@ -1553,75 +1356,62 @@ fn tick_shard(shard: &mut Shard, ctx: &TickCtx<'_>) {
             }
             p.samples_folded += (i1 - i0) * members.len();
         }
+        assim_ns += sw.lap();
     }
 
-    // 2c. Mode-space assimilation fold, non-shared path: when
-    //     identification is not already folding the projection (exact
-    //     identify, or no bank at all), drained rows fold into each
-    //     session's own running projection with the same rung-boundary
-    //     segmentation and snapshots as the shared path — so the two
-    //     configurations produce bitwise-identical per-rung folds. Rows
-    //     beyond the widest rung carry no assimilation information and
-    //     are clipped, not folded.
-    if ctx.config.assimilate == AssimilateBackend::ModeSpace && !ctx.shared_fold() {
-        let ms = ctx
-            .modespace
-            .expect("mode-space assimilation without a ladder");
-        let r = ms.rank();
-        let bounds: Vec<usize> = ms.windows.iter().map(|&w| w * ms.nd).collect();
-        let max_k = *bounds.last().expect("ladder has at least one rung");
-        let mut buckets: BTreeMap<(usize, usize), Vec<&mut StreamSession>> = BTreeMap::new();
-        for s in sessions.iter_mut().filter(|s| s.active) {
-            let filled = s.ring.filled();
-            if s.ms_folded < filled {
-                buckets.entry((s.ms_folded, filled)).or_default().push(s);
+    // 3. Sequential identification of newly arrived samples, bucketed
+    //    like the fold so the shared operand (clean block, or POD
+    //    coefficients) streams once per bucket: exact misfits accumulate
+    //    per range, mode-space misfits are materialized from the
+    //    projection folded above — bank-width work `r × B`, not
+    //    `rows × B`.
+    if let Some(bank) = ctx.bank {
+        for ((i0, i1), mut members) in buckets(sessions, |s| s.scored) {
+            for s in members.iter_mut() {
+                s.scored = i1;
             }
-        }
-        for ((i0, i1), mut members) in buckets {
-            let (i0w, i1w) = (i0.min(max_k), i1.min(max_k));
-            let mut cuts: Vec<usize> = bounds
-                .iter()
-                .copied()
-                .filter(|&k| k > i0w && k <= i1w)
-                .collect();
-            cuts.push(i1w);
-            cuts.dedup();
-            let mut prev = i0w;
-            for &cut in &cuts {
-                if cut > prev {
+            match ctx.pod {
+                None => {
                     let mut group: Vec<(&[f64], &mut [f64])> = members
                         .iter_mut()
                         .map(|s| {
-                            let StreamSession { ring, ms_proj, .. } = &mut **s;
-                            (ring.prefix(cut), &mut ms_proj[..])
+                            let StreamSession { ring, misfit, .. } = &mut **s;
+                            (ring.prefix(i1), &mut misfit[..])
                         })
                         .collect();
-                    identify::project_group(ms.modes(), prev, cut, &mut group);
-                    prev = cut;
+                    let clean = bank.clean_observations();
+                    identify::score_group_gemm(clean, ctx.sq_prefix, i0, i1, &mut group);
                 }
-                for (w, &kw) in bounds.iter().enumerate() {
-                    if kw == cut && kw > i0w {
-                        for s in members.iter_mut() {
-                            let StreamSession {
-                                ms_proj, ms_fold, ..
-                            } = &mut **s;
-                            ms_fold[w * r..(w + 1) * r].copy_from_slice(ms_proj);
-                        }
+                Some(pod) => {
+                    for s in members.iter_mut() {
+                        s.accumulate_energy(i0, i1);
                     }
+                    let mut group: Vec<(f64, &[f64], &mut [f64])> = members
+                        .iter_mut()
+                        .map(|s| {
+                            let StreamSession {
+                                data_energy,
+                                proj,
+                                misfit,
+                                ..
+                            } = &mut **s;
+                            (*data_energy, &proj[..], &mut misfit[..])
+                        })
+                        .collect();
+                    identify::score_group_pod(pod.mode_coeffs(), ctx.sq_prefix, i1, &mut group);
                 }
             }
-            for s in members.iter_mut() {
-                s.ms_folded = i1;
-            }
-            p.samples_projected += (i1w - i0w) * members.len();
+            p.samples_scored += (i1 - i0) * members.len();
         }
     }
+    identify_ns += sw.lap();
 
-    // 3. Group sessions that crossed a new rung of the active backend's
-    //    ladder, by rung index, then assimilate each group in bounded
-    //    chunks over the shard's reusable scratch arena (clear + resize
-    //    within retained capacity: steady-state ticks allocate nothing).
-    let windows = ctx.windows();
+    // 4. Group sessions that crossed a new rung by rung index, then per
+    //    bounded chunk: gather each session's input (ring prefix or fold
+    //    slice) into the panel `X`, materialize `Q = A_w · X` and the
+    //    optional inference, then scatter, classify and audit — all over
+    //    the shard's reusable scratch arena.
+    let windows = ctx.ladder.windows();
     let mut groups: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
     for (idx, s) in sessions.iter().enumerate().filter(|(_, s)| s.active) {
         if let Some(w) = windows.iter().rposition(|&wl| wl <= s.steps()) {
@@ -1630,281 +1420,94 @@ fn tick_shard(shard: &mut Shard, ctx: &TickCtx<'_>) {
             }
         }
     }
-    // Goal-oriented folds, mode-space folds, and rung grouping count
-    // toward assimilation.
     assim_ns += sw.lap();
-    if ctx.config.assimilate == AssimilateBackend::ModeSpace {
-        // Rank-sized assimilation: gather each chunk's per-rung fold
-        // snapshots and materialize forecast (and optionally reduced
-        // inference) as `r × b` GEMMs. The full-space `k × b` window
-        // panel never exists on this path, so the recorded peak working
-        // set is the reduced one.
-        let ms = ctx
-            .modespace
-            .expect("mode-space assimilation without a ladder");
-        let r = ms.rank();
-        for (w, members) in groups {
-            let rung = &ms.rungs[w];
-            let nq = rung.q_map.nrows();
-            let m_rows = rung.m_map.as_ref().map_or(0, |m| m.nrows());
-            for chunk in members.chunks(ctx.config.chunk) {
-                let b = chunk.len();
-                let t0 = Instant::now();
-                let mut buf = std::mem::take(&mut arena.panel);
-                buf.clear();
-                buf.resize(r * b, 0.0);
-                let mut a = DMatrix::from_vec(r, b, buf);
-                for (c, &idx) in chunk.iter().enumerate() {
-                    for (row, &v) in sessions[idx].ms_fold[w * r..(w + 1) * r].iter().enumerate() {
-                        a[(row, c)] = v;
-                    }
-                }
-                p.peak_panel_elems = p.peak_panel_elems.max(r * b).max(nq * b);
-
-                let mut qbuf = std::mem::take(&mut arena.q_block);
-                qbuf.clear();
-                qbuf.resize(nq * b, 0.0);
-                let mut q = DMatrix::from_vec(nq, b, qbuf);
-                rung.q_map.matmul_into(&a, &mut q);
-                let fc_seconds = t0.elapsed().as_secs_f64() / b as f64;
-
-                let m_block = ctx.config.infer.then(|| {
-                    let m_map = rung.m_map.as_ref().expect("checked at tick start");
-                    let mut mbuf = std::mem::take(&mut arena.m_block);
-                    mbuf.clear();
-                    mbuf.resize(m_rows * b, 0.0);
-                    let mut m = DMatrix::from_vec(m_rows, b, mbuf);
-                    m_map.matmul_into(&a, &mut m);
-                    m
-                });
-                if m_block.is_some() {
-                    p.peak_panel_elems = p.peak_panel_elems.max(m_rows * b);
-                }
-                let work_ns = sw.lap();
-                assim_ns += work_ns;
-
-                // 4. Scatter results + classify.
-                for (c, &idx) in chunk.iter().enumerate() {
-                    let s = &mut sessions[idx];
-                    scatter_forecast(s, &q, c, &ms.q_stds[w], fc_seconds);
-                    let band = forecast_band(s.forecast.as_ref().expect("forecast just scattered"));
-                    let prev = s.level;
-                    s.level = classify_band(band, ctx.config.warn_threshold);
-                    if s.level != prev {
-                        audit_scratch.push(WarningTransition {
-                            session: s.id,
-                            tick: ctx.tick_no,
-                            rung: w,
-                            from: prev,
-                            to: s.level,
-                            band_lo: band.0,
-                            band_hi: band.1,
-                            top_scenario: ctx.bank.and_then(|bk| top_posterior(&s.misfit, bk)),
-                            backend: ctx.config.forecast,
-                            assimilate: ctx.config.assimilate,
-                        });
-                    }
-                    if let Some(m) = &m_block {
-                        let norm = (0..m.nrows())
-                            .map(|row| {
-                                let v = m[(row, c)];
-                                v * v
-                            })
-                            .sum::<f64>()
-                            .sqrt();
-                        s.m_norm = Some(norm);
-                    }
-                    s.window_idx = Some(w);
-                }
-                let cls_ns = sw.lap();
-                classify_ns += cls_ns;
-                if on {
-                    ctx.rung_spans[w].record(work_ns + cls_ns);
-                }
-                arena.panel = a.into_vec();
-                arena.q_block = q.into_vec();
-                if let Some(m) = m_block {
-                    arena.m_block = m.into_vec();
-                }
-                p.panels += 1;
-                p.sessions_assimilated += b;
-            }
-        }
-    } else {
-        match ctx.config.forecast {
-            ForecastBackend::Windowed => {
-                let fct = ctx
-                    .forecaster
-                    .expect("windowed backend without a forecaster");
-                for (w, members) in groups {
-                    let k = fct.windows[w] * fct.nd;
-                    let nq = fct.q_maps[w].nrows();
-                    for chunk in members.chunks(ctx.config.chunk) {
-                        let b = chunk.len();
-                        let t0 = Instant::now();
-                        let mut buf = std::mem::take(&mut arena.panel);
-                        buf.clear();
-                        buf.resize(k * b, 0.0);
-                        let mut panel = DMatrix::from_vec(k, b, buf);
-                        for (c, &idx) in chunk.iter().enumerate() {
-                            for (r, &v) in sessions[idx].ring.prefix(k).iter().enumerate() {
-                                panel[(r, c)] = v;
-                            }
-                        }
-                        p.peak_panel_elems = p.peak_panel_elems.max(k * b).max(nq * b);
-
-                        let mut qbuf = std::mem::take(&mut arena.q_block);
-                        qbuf.clear();
-                        qbuf.resize(nq * b, 0.0);
-                        let mut q = DMatrix::from_vec(nq, b, qbuf);
-                        fct.q_maps[w].matmul_into(&panel, &mut q);
-                        let fc_seconds = t0.elapsed().as_secs_f64() / b as f64;
-
-                        let inf = ctx.config.infer.then(|| {
-                            infer_window_batch(
-                                &ctx.twin.phase1,
-                                &ctx.twin.phase2,
-                                &panel,
-                                fct.windows[w],
-                            )
-                        });
-                        if let Some(inf) = &inf {
-                            // The windowed inference internally zero-pads the
-                            // panel to the full horizon (`(Nd·Nt) × b`) before
-                            // the FFT pass and returns an `(Nm·Nt) × b` block;
-                            // both are part of the tick's real working set.
-                            p.peak_panel_elems = p
-                                .peak_panel_elems
-                                .max(ctx.twin.n_data() * b)
-                                .max(inf.m_map.nrows() * b);
-                        }
-                        let work_ns = sw.lap();
-                        assim_ns += work_ns;
-
-                        // 4. Scatter results + classify.
-                        for (c, &idx) in chunk.iter().enumerate() {
-                            let s = &mut sessions[idx];
-                            scatter_forecast(s, &q, c, &fct.q_stds[w], fc_seconds);
-                            let band = forecast_band(
-                                s.forecast.as_ref().expect("forecast just scattered"),
-                            );
-                            let prev = s.level;
-                            s.level = classify_band(band, ctx.config.warn_threshold);
-                            if s.level != prev {
-                                audit_scratch.push(WarningTransition {
-                                    session: s.id,
-                                    tick: ctx.tick_no,
-                                    rung: w,
-                                    from: prev,
-                                    to: s.level,
-                                    band_lo: band.0,
-                                    band_hi: band.1,
-                                    top_scenario: ctx
-                                        .bank
-                                        .and_then(|bk| top_posterior(&s.misfit, bk)),
-                                    backend: ctx.config.forecast,
-                                    assimilate: ctx.config.assimilate,
-                                });
-                            }
-                            if let Some(inf) = &inf {
-                                let norm = (0..inf.m_map.nrows())
-                                    .map(|r| {
-                                        let v = inf.m_map[(r, c)];
-                                        v * v
-                                    })
-                                    .sum::<f64>()
-                                    .sqrt();
-                                s.m_norm = Some(norm);
-                            }
-                            s.window_idx = Some(w);
-                        }
-                        let cls_ns = sw.lap();
-                        classify_ns += cls_ns;
-                        if on {
-                            ctx.rung_spans[w].record(work_ns + cls_ns);
-                        }
-                        arena.panel = panel.into_vec();
-                        arena.q_block = q.into_vec();
-                        p.panels += 1;
-                        p.sessions_assimilated += b;
-                    }
+    for (w, members) in groups {
+        let (left, q_std, fold_off) = ctx.ladder.rung(w);
+        let (nq, rows) = (left.nrows(), left.ncols());
+        for chunk in members.chunks(ctx.config.chunk) {
+            let b = chunk.len();
+            let t0 = Instant::now();
+            let mut x = take_block(&mut arena.panel, rows, b);
+            for (c, &idx) in chunk.iter().enumerate() {
+                let s = &sessions[idx];
+                let input = match fold_off {
+                    None => s.ring.prefix(rows),
+                    Some(off) => &s.fold[off..off + rows],
+                };
+                for (row, &v) in input.iter().enumerate() {
+                    x[(row, c)] = v;
                 }
             }
-            ForecastBackend::GoalOriented => {
-                // No window panels, no Cholesky walk: gather each chunk's
-                // rank-sized fold states and materialize all QoI means as
-                // one `L_w · Z` GEMM plus the precomputed std.
-                let goal = ctx.goal.expect("goal backend without a ladder");
-                for (w, members) in groups {
-                    let rung = &goal.rungs[w];
-                    let r = rung.map.rank();
-                    let nq = rung.map.out_dim();
-                    let off = goal.fold_offset(w);
-                    for chunk in members.chunks(ctx.config.chunk) {
-                        let b = chunk.len();
-                        let t0 = Instant::now();
-                        let mut buf = std::mem::take(&mut arena.panel);
-                        buf.clear();
-                        buf.resize(r * b, 0.0);
-                        let mut z = DMatrix::from_vec(r, b, buf);
-                        for (c, &idx) in chunk.iter().enumerate() {
-                            for (row, &v) in
-                                sessions[idx].goal_fold[off..off + r].iter().enumerate()
-                            {
-                                z[(row, c)] = v;
-                            }
-                        }
-                        p.peak_panel_elems = p.peak_panel_elems.max(r * b).max(nq * b);
+            p.peak_panel_elems = p.peak_panel_elems.max(rows * b).max(nq * b);
+            let mut q = take_block(&mut arena.q_block, nq, b);
+            left.matmul_into(&x, &mut q);
+            let fc_seconds = t0.elapsed().as_secs_f64() / b as f64;
 
-                        let mut qbuf = std::mem::take(&mut arena.q_block);
-                        qbuf.clear();
-                        qbuf.resize(nq * b, 0.0);
-                        let mut q = DMatrix::from_vec(nq, b, qbuf);
-                        rung.map.materialize_into(&z, &mut q);
-                        let fc_seconds = t0.elapsed().as_secs_f64() / b as f64;
-                        let work_ns = sw.lap();
-                        assim_ns += work_ns;
-
-                        // 4. Scatter results + classify (no parameter
-                        //    inference on this path: m_norm stays None).
-                        for (c, &idx) in chunk.iter().enumerate() {
-                            let s = &mut sessions[idx];
-                            scatter_forecast(s, &q, c, &goal.q_stds[w], fc_seconds);
-                            let band = forecast_band(
-                                s.forecast.as_ref().expect("forecast just scattered"),
-                            );
-                            let prev = s.level;
-                            s.level = classify_band(band, ctx.config.warn_threshold);
-                            if s.level != prev {
-                                audit_scratch.push(WarningTransition {
-                                    session: s.id,
-                                    tick: ctx.tick_no,
-                                    rung: w,
-                                    from: prev,
-                                    to: s.level,
-                                    band_lo: band.0,
-                                    band_hi: band.1,
-                                    top_scenario: ctx
-                                        .bank
-                                        .and_then(|bk| top_posterior(&s.misfit, bk)),
-                                    backend: ctx.config.forecast,
-                                    assimilate: ctx.config.assimilate,
-                                });
-                            }
-                            s.window_idx = Some(w);
-                        }
-                        let cls_ns = sw.lap();
-                        classify_ns += cls_ns;
-                        if on {
-                            ctx.rung_spans[w].record(work_ns + cls_ns);
-                        }
-                        arena.panel = z.into_vec();
-                        arena.q_block = q.into_vec();
-                        p.panels += 1;
-                        p.sessions_assimilated += b;
-                    }
+            let m = match ctx.ladder {
+                Ladder::Windowed(f) if ctx.config.infer => {
+                    // The windowed inference zero-pads the panel to the
+                    // full horizon (`(Nd·Nt) × b`) before its FFT pass:
+                    // part of the tick's real working set.
+                    p.peak_panel_elems = p.peak_panel_elems.max(ctx.twin.n_data() * b);
+                    let (p1, p2) = (&ctx.twin.phase1, &ctx.twin.phase2);
+                    Some(infer_window_batch(p1, p2, &x, f.windows[w]).m_map)
                 }
+                Ladder::ModeSpace(ms) if ctx.config.infer => {
+                    let m_map = ms.rungs[w]
+                        .m_map
+                        .as_ref()
+                        .expect("StreamEngine::mode_space checks the ladder infers");
+                    let mut m = take_block(&mut arena.m_block, m_map.nrows(), b);
+                    m_map.matmul_into(&x, &mut m);
+                    Some(m)
+                }
+                _ => None,
+            };
+            if let Some(m) = &m {
+                p.peak_panel_elems = p.peak_panel_elems.max(m.nrows() * b);
             }
+            let work_ns = sw.lap();
+            assim_ns += work_ns;
+
+            for (c, &idx) in chunk.iter().enumerate() {
+                let s = &mut sessions[idx];
+                scatter_forecast(s, &q, c, q_std, fc_seconds);
+                let band = forecast_band(s.forecast.as_ref().expect("forecast just scattered"));
+                let prev = s.level;
+                s.level = classify_band(band, ctx.config.warn_threshold);
+                if s.level != prev {
+                    audit_scratch.push(WarningTransition {
+                        session: s.id,
+                        tick: ctx.tick_no,
+                        rung: w,
+                        from: prev,
+                        to: s.level,
+                        band_lo: band.0,
+                        band_hi: band.1,
+                        top_scenario: ctx.bank.and_then(|bk| top_posterior(&s.misfit, bk)),
+                        assimilator: ctx.ladder.assimilator(),
+                    });
+                }
+                if let Some(m) = &m {
+                    let norm = (0..m.nrows())
+                        .map(|row| m[(row, c)] * m[(row, c)])
+                        .sum::<f64>();
+                    s.m_norm = Some(norm.sqrt());
+                }
+                s.window_idx = Some(w);
+            }
+            let cls_ns = sw.lap();
+            classify_ns += cls_ns;
+            if on {
+                ctx.rung_spans[w].record(work_ns + cls_ns);
+            }
+            arena.panel = x.into_vec();
+            arena.q_block = q.into_vec();
+            if let (Ladder::ModeSpace(_), Some(m)) = (ctx.ladder, m) {
+                arena.m_block = m.into_vec();
+            }
+            p.panels += 1;
+            p.sessions_assimilated += b;
         }
     }
 
@@ -1917,6 +1520,23 @@ fn tick_shard(shard: &mut Shard, ctx: &TickCtx<'_>) {
     }
     *peak_panel_elems = (*peak_panel_elems).max(p.peak_panel_elems);
     *last = p;
+}
+
+/// Open sessions bucketed by their not-yet-consumed row range
+/// `[mark(s), filled)` (sessions with nothing new are skipped): a bucket
+/// shares one range, so its group streams the shared operand once.
+fn buckets(
+    sessions: &mut [StreamSession],
+    mark: fn(&StreamSession) -> usize,
+) -> BTreeMap<(usize, usize), Vec<&mut StreamSession>> {
+    let mut out: BTreeMap<(usize, usize), Vec<&mut StreamSession>> = BTreeMap::new();
+    for s in sessions.iter_mut().filter(|s| s.active) {
+        let range = (mark(s), s.ring.filled());
+        if range.0 < range.1 {
+            out.entry(range).or_default().push(s);
+        }
+    }
+    out
 }
 
 /// Write chunk column `c` of the materialized QoI block into the
@@ -1939,16 +1559,23 @@ fn scatter_forecast(s: &mut StreamSession, q: &DMatrix, c: usize, q_std: &[f64],
 /// The peak of a forecast's 95% credible band across its QoIs: the
 /// largest lower bound and the largest upper bound. This is the pair
 /// [`classify_forecast`] decides on, exposed separately so audit records
-/// can carry the evidence behind a classification.
+/// can carry the evidence behind a classification. A NaN anywhere in the
+/// band propagates to that end (`f64::max` would drop it), so a forecast
+/// poisoned by bad data cannot pass for a quiet one.
 pub fn forecast_band(fc: &Forecast) -> (f64, f64) {
-    let mut lo_max = f64::NEG_INFINITY;
-    let mut hi_max = f64::NEG_INFINITY;
+    let peak = |acc: f64, v: f64| {
+        if acc.is_nan() || v.is_nan() {
+            f64::NAN
+        } else {
+            acc.max(v)
+        }
+    };
+    let mut band = (f64::NEG_INFINITY, f64::NEG_INFINITY);
     for i in 0..fc.q_map.len() {
         let (lo, hi) = fc.ci95(i);
-        lo_max = lo_max.max(lo);
-        hi_max = hi_max.max(hi);
+        band = (peak(band.0, lo), peak(band.1, hi));
     }
-    (lo_max, hi_max)
+    band
 }
 
 /// Classify a forecast's 95% credible band against a wave-height
@@ -1961,30 +1588,17 @@ pub fn classify_forecast(fc: &Forecast, threshold: f64) -> WarningLevel {
 }
 
 /// Classify a precomputed peak band ([`forecast_band`]) against a
-/// wave-height threshold (see [`classify_forecast`]).
+/// wave-height threshold (see [`classify_forecast`]). Fails closed: a
+/// NaN band end reads at least [`WarningLevel::Watch`], never
+/// [`WarningLevel::AllClear`].
 pub fn classify_band((lo_max, hi_max): (f64, f64), threshold: f64) -> WarningLevel {
     if lo_max > threshold {
         WarningLevel::Warning
-    } else if hi_max > threshold {
+    } else if hi_max > threshold || lo_max.is_nan() || hi_max.is_nan() {
         WarningLevel::Watch
     } else {
         WarningLevel::AllClear
     }
-}
-
-/// The shared-fold contract: a [`PodBank`] and a [`ModeSpaceLadder`]
-/// attached to the same engine must hold the *same* observation basis
-/// bit for bit — mode-space identification folds drained rows into the
-/// per-session projection once, and mode-space assimilation reads its
-/// rung snapshots from that same fold.
-fn assert_same_basis(pod: &PodBank, ms: &ModeSpaceLadder) {
-    assert!(
-        pod.modes().nrows() == ms.modes().nrows()
-            && pod.modes().ncols() == ms.modes().ncols()
-            && pod.modes().as_slice() == ms.modes().as_slice(),
-        "mode-space ladder and PodBank must share the observation basis bit for bit \
-         (build the ladder from PodBank::modes())"
-    );
 }
 
 /// The bank scenario with the highest posterior probability under a
@@ -2028,6 +1642,22 @@ mod tests {
         assert_eq!(classify_forecast(&fc, 2.0), WarningLevel::AllClear);
         assert_eq!(classify_forecast(&fc, 1.1), WarningLevel::Watch);
         assert_eq!(classify_forecast(&fc, 0.5), WarningLevel::Warning);
+
+        // Fail closed: a NaN mean anywhere (first, middle, last) stays in
+        // the band, and far below threshold it still reads Watch, never
+        // AllClear; a confident exceedance elsewhere stays a Warning.
+        for pos in 0..3 {
+            let mut nan = Forecast {
+                q_map: fc.q_map.clone(),
+                q_std: fc.q_std.clone(),
+                seconds: 0.0,
+            };
+            nan.q_map[pos] = f64::NAN;
+            let (lo, hi) = forecast_band(&nan);
+            assert!(lo.is_nan() && hi.is_nan(), "NaN at {pos} was dropped");
+            assert_eq!(classify_forecast(&nan, 2.0), WarningLevel::Watch);
+        }
+        assert_eq!(classify_band((0.5, f64::NAN), 0.1), WarningLevel::Warning);
     }
 
     #[test]

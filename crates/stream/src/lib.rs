@@ -13,65 +13,47 @@
 //! operators:
 //!
 //! - [`StreamSession`] holds one stream's state: the time-major ring of
-//!   arrived sensor samples, its position on the window ladder, its
-//!   accumulated per-scenario misfit, and its latest forecast/warning.
+//!   arrived sensor samples, its fold state, its position on the window
+//!   ladder, its accumulated per-scenario misfit, and its latest
+//!   forecast/warning.
 //! - [`StreamEngine`] accepts [`StreamEngine::push`] events (or lock-free
 //!   [`StreamEngine::enqueue`] calls from concurrent producer threads)
-//!   and, on each [`StreamEngine::tick`], groups every session that
-//!   crossed the same window boundary into a single batched window
-//!   inference + forecast (multi-RHS leading-block solves + one dense
-//!   `Q_w · D` product), instead of one factor traversal and one matvec
-//!   per session.
+//!   and, on each [`StreamEngine::tick`], folds the arrived rows into
+//!   each session's small state, then groups every session that crossed
+//!   the same rung into one batched `A_w · X` materialization and
+//!   classifies the results.
+//! - The ladder passed to the constructor selects the path
+//!   ([`Assimilator`]): [`StreamEngine::new`] takes a dense
+//!   [`tsunami_core::WindowedForecaster`] (the exact oracle, with
+//!   optional batched window inference);
+//!   [`StreamEngine::goal_oriented`] a [`tsunami_core::GoalLadder`] of
+//!   per-rung factors `L_w R_wᵀ` (arXiv:2501.14911), folded as
+//!   `z += R_wᵀ d`; [`StreamEngine::mode_space`] a
+//!   [`tsunami_core::ModeSpaceLadder`] of reduced operators over one
+//!   rank-`r` POD projection. Exact ladders reproduce the windowed
+//!   engine (the goal ladder bitwise); truncated ranks carry exactly
+//!   computed per-rung Frobenius bounds.
 //! - Sessions are sharded by id across [`StreamConfig::shards`] shards,
 //!   each with its own session table, freelist, and inbox; a tick fans
 //!   the shards out across the persistent rayon-shim worker pool with one
 //!   barrier per tick, and results are invariant in the shard count.
 //! - Sessions are assimilated in bounded panels of at most
 //!   [`StreamConfig::chunk`] columns, so the working set stays
-//!   `O(Nd·Nt · chunk)` no matter how many thousands of streams are live —
-//!   the engine never materializes an `(Nd·Nt) × B` block.
+//!   `O(Nd·Nt · chunk)` no matter how many thousands of streams are live.
 //! - With a [`tsunami_core::ScenarioBank`] attached, newly arrived
 //!   samples sequentially update a per-scenario log-likelihood via the
-//!   blocked `rows × scenarios` GEMM kernels of [`identify`] (so banks of
-//!   10³+ scenarios stay cheap), yielding a ranked scenario match
-//!   ([`ScenarioMatch`]) whose posterior sharpens as the window grows,
-//!   alongside a [`WarningLevel`] classification from the forecast's 95%
-//!   credible band that tightens the same way.
-//! - With a [`tsunami_core::PodBank`] also attached
+//!   blocked `rows × scenarios` GEMM kernels of [`identify`], yielding a
+//!   ranked scenario match ([`ScenarioMatch`]) whose posterior sharpens
+//!   as the window grows. With a [`tsunami_core::PodBank`] also attached
 //!   ([`StreamEngine::with_pod`]) and [`IdentifyBackend::ModeSpace`]
-//!   selected, identification runs in POD mode space: arrived rows fold
-//!   into an `r`-dimensional running projection and all `B` misfits are
-//!   materialized at `r × B` cost per tick
-//!   ([`identify::project_group`] / [`identify::score_group_pod`]), with
-//!   the exact GEMM kept as the oracle path. The identification
-//!   posterior also drives a Fujita-style posterior-weighted
+//!   selected, misfits are materialized from the POD projection at
+//!   `r × B` cost — on a mode-space engine the same projection
+//!   assimilation reads. The posterior also drives a Fujita-style
 //!   **superposition forecast** ([`superpose_forecasts`] /
-//!   [`StreamEngine::superposed_forecast`]) that mixes the bank's
-//!   precomputed forecasts — honest credible bands while identification
-//!   is still ambiguous, and better point forecasts than any single
-//!   best-fit scenario for events between bank members.
-//! - With a [`tsunami_core::ModeSpaceLadder`] attached
-//!   ([`StreamEngine::mode_space`] / [`StreamEngine::with_modespace`])
-//!   and [`AssimilateBackend::ModeSpace`] selected, *assimilation* runs
-//!   in mode space too: drained rows fold once per tick into each
-//!   session's rank-`r` POD projection (shared with the identification
-//!   fold when both backends are mode-space), and rung crossings
-//!   materialize inference + forecast + classification from `r × B`
-//!   GEMMs against precomputed Gram-absorbed reduced operators — no
-//!   full-space window panel, no leading-block solve online. A complete
-//!   basis reproduces the windowed engine within cancellation slack;
-//!   truncated ranks carry exactly computed per-rung Frobenius bounds
-//!   certified down to the warning decision boundary.
-//! - With a [`tsunami_core::GoalLadder`] attached
-//!   ([`StreamEngine::goal_oriented`] / [`StreamEngine::with_goal`]) and
-//!   [`ForecastBackend::GoalOriented`] selected, forecasting runs the
-//!   goal-oriented offline/online split of arXiv:2501.14911: newly
-//!   arrived samples fold into rank-sized per-rung states `z += R_wᵀ d`
-//!   and rung crossings materialize all QoI means as one `L_w · Z` GEMM
-//!   plus the precomputed posterior std — a tick is a handful of small
-//!   GEMMs, with no leading-block Cholesky solve at all. The exact
-//!   (uncompressed) ladder bit-matches the windowed path; truncated
-//!   ranks carry a certified per-rung error bound.
+//!   [`StreamEngine::superposed_forecast`]).
+//! - Each assimilated forecast's 95% credible band is classified into a
+//!   [`WarningLevel`] that fails closed: a non-finite band never reads
+//!   [`WarningLevel::AllClear`] ([`classify_band`]).
 //! - [`TickMetrics`] / [`EngineMetrics`] record per-tick latency,
 //!   throughput, the peak materialized panel (per shard), and the
 //!   persistent-pool dispatch counters ([`rayon::pool_stats`] deltas).
@@ -87,8 +69,8 @@ pub mod identify;
 pub mod session;
 
 pub use engine::{
-    classify_band, classify_forecast, forecast_band, superpose_forecasts, AssimilateBackend,
-    EngineMetrics, ForecastBackend, IdentifyBackend, ScenarioMatch, StreamConfig, StreamEngine,
-    TickMetrics, WarningTransition,
+    classify_band, classify_forecast, forecast_band, superpose_forecasts, Assimilator,
+    EngineMetrics, IdentifyBackend, ScenarioMatch, StreamConfig, StreamEngine, TickMetrics,
+    WarningTransition,
 };
 pub use session::{SampleRing, StreamSession, WarningLevel};

@@ -109,30 +109,21 @@ pub struct StreamSession {
     /// identification this is *materialized* (overwritten) from the
     /// running projection each scoring pass instead of accumulated.
     pub(crate) misfit: Vec<f64>,
-    /// Running POD projection `a = Uᵀd` over the scored samples (empty
-    /// unless a [`tsunami_core::PodBank`] is attached).
-    pub(crate) pod_coeff: Vec<f64>,
-    /// Concatenated per-rung goal-oriented fold state `z_w = R_wᵀ d_w`
-    /// over the folded samples (empty unless a
-    /// [`tsunami_core::GoalLadder`] is attached; rung `w`'s slice lives
-    /// at the ladder's fold offset).
-    pub(crate) goal_fold: Vec<f64>,
-    /// Samples already folded into `goal_fold`.
+    /// Running POD projection `a = Uᵀd` over the first `projected`
+    /// samples (empty unless the engine has a mode-space ladder or a
+    /// [`tsunami_core::PodBank`]; one fold serves both assimilation and
+    /// mode-space identification).
+    pub(crate) proj: Vec<f64>,
+    /// Samples already folded into `proj`.
+    pub(crate) projected: usize,
+    /// Concatenated per-rung assimilation inputs (empty on a windowed
+    /// ladder): a goal ladder's running states `z_w = R_wᵀ d_w` at its
+    /// fold offsets, or a mode-space ladder's snapshots of `proj`
+    /// (rung `w`'s `r`-slice at `w·r`, written as the stream crosses
+    /// that rung's boundary and frozen afterwards).
+    pub(crate) fold: Vec<f64>,
+    /// Samples already folded into a goal ladder's `fold`.
     pub(crate) folded: usize,
-    /// Concatenated per-rung mode-space fold snapshots `a_w = U_kᵀ d_k`
-    /// (rung `w`'s `r`-slice at `w·r`; empty unless a
-    /// [`tsunami_core::ModeSpaceLadder`] is attached). Each slice is
-    /// written the moment the stream crosses that rung's boundary and
-    /// frozen afterwards — it is the *entire* per-session input of a
-    /// mode-space assimilation.
-    pub(crate) ms_fold: Vec<f64>,
-    /// Running mode-space projection `a = U_kᵀ d` over the first
-    /// `min(ms_folded, max rung boundary)` samples — the non-shared fold
-    /// path's accumulator (under shared folding, `pod_coeff` plays this
-    /// role and `ms_proj` stays zero).
-    pub(crate) ms_proj: Vec<f64>,
-    /// Samples already consumed by the mode-space assimilation fold.
-    pub(crate) ms_folded: usize,
     /// Running data energy `‖d‖²` over the scored samples, with its Kahan
     /// compensation term — accumulated across ticks, so compensated for
     /// the same long-horizon reason as the clean-energy prefix sums.
@@ -143,9 +134,9 @@ pub struct StreamSession {
     /// on mismatch, so a batch staged for a closed event can never leak
     /// into the next event reusing the slot (and its id).
     pub(crate) generation: u64,
-    /// Latest windowed forecast (with credible intervals).
+    /// Latest forecast (with credible intervals).
     pub forecast: Option<Forecast>,
-    /// `‖m_map‖₂` of the latest windowed inference.
+    /// `‖m_map‖₂` of the latest parameter inference.
     pub m_norm: Option<f64>,
     /// Latest warning classification.
     pub level: WarningLevel,
@@ -155,16 +146,13 @@ pub struct StreamSession {
 }
 
 impl StreamSession {
-    #[allow(clippy::too_many_arguments)]
     pub(crate) fn new(
         id: usize,
         capacity: usize,
         nd: usize,
         n_scenarios: usize,
-        n_modes: usize,
-        fold_len: usize,
-        ms_rungs: usize,
-        ms_rank: usize,
+        n_proj: usize,
+        n_fold: usize,
     ) -> Self {
         StreamSession {
             id,
@@ -173,12 +161,10 @@ impl StreamSession {
             window_idx: None,
             scored: 0,
             misfit: vec![0.0; n_scenarios],
-            pod_coeff: vec![0.0; n_modes],
-            goal_fold: vec![0.0; fold_len],
+            proj: vec![0.0; n_proj],
+            projected: 0,
+            fold: vec![0.0; n_fold],
             folded: 0,
-            ms_fold: vec![0.0; ms_rungs * ms_rank],
-            ms_proj: vec![0.0; ms_rank],
-            ms_folded: 0,
             data_energy: 0.0,
             data_energy_comp: 0.0,
             generation: 0,
@@ -195,30 +181,19 @@ impl StreamSession {
     /// deliberately *not* reset: it was bumped at close, and keeping the
     /// new value is what invalidates inbox batches staged for the old
     /// event under the same id.
-    pub(crate) fn reopen(
-        &mut self,
-        n_scenarios: usize,
-        n_modes: usize,
-        fold_len: usize,
-        ms_rungs: usize,
-        ms_rank: usize,
-    ) {
+    pub(crate) fn reopen(&mut self, n_scenarios: usize, n_proj: usize, n_fold: usize) {
         debug_assert!(!self.active, "reopen of an open session");
         self.ring.clear();
         self.window_idx = None;
         self.scored = 0;
         self.misfit.clear();
         self.misfit.resize(n_scenarios, 0.0);
-        self.pod_coeff.clear();
-        self.pod_coeff.resize(n_modes, 0.0);
-        self.goal_fold.clear();
-        self.goal_fold.resize(fold_len, 0.0);
+        self.proj.clear();
+        self.proj.resize(n_proj, 0.0);
+        self.projected = 0;
+        self.fold.clear();
+        self.fold.resize(n_fold, 0.0);
         self.folded = 0;
-        self.ms_fold.clear();
-        self.ms_fold.resize(ms_rungs * ms_rank, 0.0);
-        self.ms_proj.clear();
-        self.ms_proj.resize(ms_rank, 0.0);
-        self.ms_folded = 0;
         self.data_energy = 0.0;
         self.data_energy_comp = 0.0;
         self.forecast = None;
@@ -299,7 +274,7 @@ mod tests {
 
     #[test]
     fn session_counts_complete_steps_only() {
-        let mut s = StreamSession::new(0, 12, 4, 0, 0, 0, 0, 0);
+        let mut s = StreamSession::new(0, 12, 4, 0, 0, 0);
         s.ring.push(&[0.5; 6]);
         assert_eq!(s.samples(), 6);
         assert_eq!(s.steps(), 1, "partial second step must not count");

@@ -731,7 +731,6 @@ fn enqueue_for_an_unknown_id_panics_with_context() {
 // ---------------------------------------------------------------------------
 
 use tsunami_core::GoalOptions;
-use tsunami_stream::ForecastBackend;
 
 #[test]
 fn goal_oriented_exact_ladder_bit_matches_the_windowed_engine() {
@@ -1036,31 +1035,6 @@ fn rewind_replay_is_bit_identical_to_a_fresh_engine_under_both_backends() {
         StreamEngine::goal_oriented(&twin, &gl_trunc, cfg),
         "goal-truncated",
     );
-}
-
-#[test]
-fn goal_config_is_selectable_on_a_windowed_engine_via_with_goal() {
-    // A/B configuration: the same engine construction can carry both
-    // backends; selecting GoalOriented in the config routes ticks
-    // through the ladder.
-    let (twin, bank) = setup_bank(1, 19);
-    let nt = twin.solver.grid.nt_obs;
-    let wf = twin.windowed(&[nt]);
-    let gl = tsunami_core::GoalLadder::from_forecaster(&wf, &GoalOptions::exact());
-    let cfg = StreamConfig {
-        forecast: ForecastBackend::GoalOriented,
-        ..StreamConfig::default()
-    };
-    let mut engine = StreamEngine::new(&twin, &wf, cfg).with_goal(&gl);
-    let id = engine.open();
-    engine.push(id, &bank.observations().col(0));
-    let tm = engine.tick();
-    assert_eq!(tm.sessions_assimilated, 1);
-    assert_eq!(tm.samples_folded, twin.n_data());
-
-    let one_shot = wf.forecast(0, &bank.observations().col(0));
-    let live = engine.session(id).forecast.as_ref().unwrap();
-    assert_eq!(live.q_map, one_shot.q_map, "exact A/B must bit-match");
 }
 
 #[test]
@@ -1544,4 +1518,77 @@ fn mode_space_rewind_replay_is_bit_identical_to_a_fresh_engine() {
             .with_pod(&pod),
         "shared",
     );
+}
+
+// ---------------------------------------------------------------------------
+// Fail-closed classification and construction-time validation
+// ---------------------------------------------------------------------------
+
+#[test]
+fn a_nan_sample_never_reads_all_clear_on_any_ladder() {
+    // A session at Warning receives one NaN sample: every forecast from
+    // the next rung on is poisoned, and the classification must fail
+    // closed (at least Watch) on all three ladders instead of reading
+    // the NaN band as a quiet one.
+    let (twin, bank) = setup_bank(3, 7);
+    let nt = twin.solver.grid.nt_obs;
+    let nd = twin.solver.sensors.len();
+    let ladder = [2, nt / 2, nt];
+    let wf = twin.windowed(&ladder);
+    let gl = twin.goal_ladder(&ladder, &GoalOptions::rank(4));
+    let ms = twin.mode_space_ladder(
+        &ladder,
+        &truncated_basis(twin.n_data(), 8),
+        &ModeSpaceOptions::default(),
+    );
+    let cfg = StreamConfig {
+        warn_threshold: 1e-6,
+        infer: false,
+        ..StreamConfig::default()
+    };
+    // Scenario 1 is confidently hazardous from mid-horizon on.
+    let d = bank.observations().col(1);
+    let half = (nt / 2) * nd;
+    for (mut engine, tag) in [
+        (StreamEngine::new(&twin, &wf, cfg), "windowed"),
+        (StreamEngine::goal_oriented(&twin, &gl, cfg), "goal"),
+        (StreamEngine::mode_space(&twin, &ms, cfg), "mode-space"),
+    ] {
+        let id = engine.open();
+        engine.push(id, &d[..half]);
+        engine.tick();
+        assert_eq!(engine.session(id).level, WarningLevel::Warning, "{tag}");
+        engine.push(id, &[f64::NAN]);
+        engine.push(id, &d[half + 1..]);
+        engine.tick();
+        let s = engine.session(id);
+        assert_eq!(s.window(), Some(ladder.len() - 1), "{tag}");
+        let (lo, hi) = forecast_band(s.forecast.as_ref().unwrap());
+        assert!(
+            lo.is_nan() && hi.is_nan(),
+            "{tag}: NaN dropped from the band"
+        );
+        assert_ne!(
+            s.level,
+            WarningLevel::AllClear,
+            "{tag}: fell silent on bad data"
+        );
+    }
+}
+
+#[test]
+#[should_panic(expected = "needs a ladder built with ModeSpaceOptions { inference: true, .. }")]
+fn mode_space_inference_without_an_inference_ladder_is_rejected_at_construction() {
+    let (twin, _bank) = setup_bank(1, 7);
+    let nt = twin.solver.grid.nt_obs;
+    let ms = twin.mode_space_ladder(
+        &[nt],
+        &truncated_basis(twin.n_data(), 4),
+        &ModeSpaceOptions::default(),
+    );
+    let cfg = StreamConfig {
+        infer: true,
+        ..StreamConfig::default()
+    };
+    let _ = StreamEngine::mode_space(&twin, &ms, cfg);
 }

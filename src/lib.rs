@@ -75,8 +75,7 @@ pub mod prelude {
     pub use tsunami_rupture::KinematicRupture;
     pub use tsunami_solver::{PhysicalParams, WaveSolver};
     pub use tsunami_stream::{
-        superpose_forecasts, AssimilateBackend, EngineMetrics, ForecastBackend, IdentifyBackend,
-        ScenarioMatch, StreamConfig, StreamEngine, StreamSession, TickMetrics, WarningLevel,
-        WarningTransition,
+        superpose_forecasts, Assimilator, EngineMetrics, IdentifyBackend, ScenarioMatch,
+        StreamConfig, StreamEngine, StreamSession, TickMetrics, WarningLevel, WarningTransition,
     };
 }
