@@ -70,17 +70,26 @@
 //!
 //! Every engine owns a [`tsunami_obs::Registry`]
 //! ([`StreamEngine::registry`]) that its ticks record into through
-//! lock-free handles: per-stage span histograms (`stream.tick.drain`,
-//! `stream.tick.identify`, `stream.tick.assimilate`,
-//! `stream.tick.classify`, `stream.tick.total`, nanoseconds), per-shard
-//! whole-tick spans (`stream.shard.<i>.tick`), per-rung assimilation
-//! spans (`stream.rung.<w>.assimilate`, one sample per chunk), lifetime
-//! throughput counters (`stream.ticks`, `stream.sessions.assimilated`,
-//! `stream.panels`, `stream.samples.*`, `stream.warnings.transitions`),
-//! and tick-boundary pool gauges (`pool.jobs`, `pool.handoffs`,
-//! `pool.wakeups`, `pool.workers`). `OBS=off` (or
-//! [`tsunami_obs::set_enabled`]`(false)`) disables all of it: the tick
-//! checks the switch once and skips every clock read and record.
+//! lock-free handles. It is the only store of the engine's lifetime
+//! counts: [`StreamEngine::metrics`] and
+//! [`StreamEngine::shard_panel_peaks`] read it back, so
+//! [`Registry::reset`] resets them too (and restarts audit tick numbers).
+//!
+//! - **Always recorded:** lifetime counters (`stream.ticks`,
+//!   `stream.sessions.assimilated`, `stream.panels`, `stream.samples.*`
+//!   with `stream.samples.ingested` = direct pushes + drained samples,
+//!   `stream.rings.allocated`, `stream.warnings.transitions`), the
+//!   whole-tick histogram `stream.tick.total` (nanoseconds), working-set
+//!   gauges (`stream.scratch.bytes`, `stream.peak_panel_elems`,
+//!   `stream.shard.<i>.peak_panel_elems`), and tick-boundary pool gauges
+//!   (`pool.jobs`, `pool.handoffs`, `pool.wakeups`, `pool.workers`).
+//! - **Spans, gated by `OBS`:** per-stage histograms
+//!   (`stream.tick.drain`, `stream.tick.identify`,
+//!   `stream.tick.assimilate`, `stream.tick.classify`), per-shard
+//!   stage sums (`stream.shard.<i>.tick`), and per-rung assimilation
+//!   spans (`stream.rung.<w>.assimilate`, one sample per chunk).
+//!   `OBS=off` (or [`tsunami_obs::set_enabled`]`(false)`) skips every
+//!   stage clock read and span record; the tick checks the switch once.
 //!
 //! Warning-level changes additionally land in a bounded audit ring
 //! ([`StreamEngine::audit`]): each [`WarningTransition`] captures the
@@ -192,7 +201,8 @@ pub struct ScenarioMatch {
     pub probability: f64,
 }
 
-/// Per-tick latency/throughput record.
+/// Per-tick latency/throughput record, summed over shards (each shard
+/// fills one for its own partials).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct TickMetrics {
     /// Sessions assimilated this tick (crossed a window boundary).
@@ -215,14 +225,6 @@ pub struct TickMetrics {
     /// Largest dense block materialized by any *one shard* this tick
     /// (elements) — the per-shard bounded-working-set figure.
     pub peak_panel_elems: usize,
-    /// Persistent-pool jobs dispatched since the previous tick boundary
-    /// (one [`rayon::pool_stats`] read per tick, delta'd against the
-    /// stored previous read) — 0 when the tick ran serially and nothing
-    /// else used the pool in between.
-    pub pool_jobs: usize,
-    /// Parked-worker handoffs since the previous tick boundary — each one
-    /// an OS-thread spawn/join the scoped baseline would have paid.
-    pub pool_handoffs: usize,
     /// Wall-clock seconds for the whole tick.
     pub seconds: f64,
 }
@@ -234,7 +236,8 @@ impl TickMetrics {
     }
 }
 
-/// Running totals across the engine's lifetime.
+/// Running totals across the engine's lifetime — a view of its registry
+/// ([`StreamEngine::metrics`]).
 #[derive(Clone, Copy, Debug, Default)]
 pub struct EngineMetrics {
     /// Ticks processed.
@@ -251,13 +254,10 @@ pub struct EngineMetrics {
     /// Largest dense block any one shard ever materialized (elements) —
     /// the bounded-working-set guarantee, checked against `(Nd·Nt)·chunk`.
     pub peak_panel_elems: usize,
-    /// Persistent-pool jobs dispatched between this engine's tick
-    /// boundaries over its lifetime ([`rayon::pool_stats`] tick-boundary
-    /// deltas, summed).
+    /// Persistent-pool jobs dispatched between this engine's construction
+    /// and its latest tick boundary (the `pool.jobs` gauge minus the
+    /// [`rayon::pool_stats`] read taken at construction).
     pub pool_jobs: usize,
-    /// Parked-worker handoffs between tick boundaries — spawn/joins
-    /// avoided relative to the scoped baseline.
-    pub pool_handoffs: usize,
     /// Fresh sample rings allocated over the engine's lifetime. Stays flat
     /// under open→close→open churn (closed sessions return their ring to a
     /// freelist and [`StreamEngine::open`] reuses it), so indefinite
@@ -278,7 +278,8 @@ pub struct EngineMetrics {
 pub struct WarningTransition {
     /// Session id whose level changed.
     pub session: usize,
-    /// 0-based tick index (over the engine's lifetime) that classified
+    /// 0-based tick index (the `stream.ticks` count, so over the
+    /// engine's lifetime unless its registry was reset) that classified
     /// the change.
     pub tick: u64,
     /// Window-ladder rung whose assimilation produced the classified
@@ -302,32 +303,17 @@ pub struct WarningTransition {
     pub assimilator: Assimilator,
 }
 
-/// Cached per-stage span histogram handles into the engine's
-/// [`Registry`], resolved once at construction so ticks record through
-/// lock-free atomics without touching the registry's name table.
-struct TickSpans {
+/// Cached handles into the engine's [`Registry`], resolved once at
+/// construction so ticks record through lock-free atomics without
+/// touching the registry's name table. The counters, gauges, and `total`
+/// are the only store of the engine's lifetime counts and always record;
+/// the stage, rung, and shard spans record only while `OBS` is on.
+struct Handles {
     drain: Arc<Histogram>,
     identify: Arc<Histogram>,
     assimilate: Arc<Histogram>,
     classify: Arc<Histogram>,
     total: Arc<Histogram>,
-}
-
-impl TickSpans {
-    fn new(reg: &Registry) -> Self {
-        TickSpans {
-            drain: reg.histogram("stream.tick.drain"),
-            identify: reg.histogram("stream.tick.identify"),
-            assimilate: reg.histogram("stream.tick.assimilate"),
-            classify: reg.histogram("stream.tick.classify"),
-            total: reg.histogram("stream.tick.total"),
-        }
-    }
-}
-
-/// Cached counter/gauge handles (see [`TickSpans`]), refreshed at tick
-/// boundaries.
-struct EngineCounters {
     ticks: Arc<Counter>,
     assimilated: Arc<Counter>,
     panels: Arc<Counter>,
@@ -342,11 +328,23 @@ struct EngineCounters {
     pool_workers: Arc<Gauge>,
     scratch_bytes: Arc<Gauge>,
     peak_panel: Arc<Gauge>,
+    ingested: Arc<Counter>,
+    rings: Arc<Counter>,
+    /// Per-rung assimilation spans, indexed by rung.
+    rung_spans: Vec<Arc<Histogram>>,
+    /// Per-shard whole-tick spans and panel peaks, indexed by shard.
+    shard_spans: Vec<Arc<Histogram>>,
+    shard_peaks: Vec<Arc<Gauge>>,
 }
 
-impl EngineCounters {
-    fn new(reg: &Registry) -> Self {
-        EngineCounters {
+impl Handles {
+    fn new(reg: &Registry, rungs: usize, shards: usize) -> Self {
+        Handles {
+            drain: reg.histogram("stream.tick.drain"),
+            identify: reg.histogram("stream.tick.identify"),
+            assimilate: reg.histogram("stream.tick.assimilate"),
+            classify: reg.histogram("stream.tick.classify"),
+            total: reg.histogram("stream.tick.total"),
             ticks: reg.counter("stream.ticks"),
             assimilated: reg.counter("stream.sessions.assimilated"),
             panels: reg.counter("stream.panels"),
@@ -361,6 +359,17 @@ impl EngineCounters {
             pool_workers: reg.gauge("pool.workers"),
             scratch_bytes: reg.gauge("stream.scratch.bytes"),
             peak_panel: reg.gauge("stream.peak_panel_elems"),
+            ingested: reg.counter("stream.samples.ingested"),
+            rings: reg.counter("stream.rings.allocated"),
+            rung_spans: (0..rungs)
+                .map(|w| reg.histogram(&format!("stream.rung.{w}.assimilate")))
+                .collect(),
+            shard_spans: (0..shards)
+                .map(|i| reg.histogram(&format!("stream.shard.{i}.tick")))
+                .collect(),
+            shard_peaks: (0..shards)
+                .map(|i| reg.gauge(&format!("stream.shard.{i}.peak_panel_elems")))
+                .collect(),
         }
     }
 }
@@ -454,18 +463,6 @@ impl Drop for Inbox {
     }
 }
 
-/// Partial tick results of one shard, merged by [`StreamEngine::tick`].
-#[derive(Clone, Copy, Debug, Default)]
-struct ShardTick {
-    sessions_assimilated: usize,
-    panels: usize,
-    samples_scored: usize,
-    samples_folded: usize,
-    samples_projected: usize,
-    samples_drained: usize,
-    peak_panel_elems: usize,
-}
-
 /// Per-shard assimilation scratch, reused across ticks so steady-state
 /// ticks allocate nothing: the gathered input panel `X` (`k × b` ring
 /// prefixes or `r × b` folds), the QoI block `nq × b`, and the reduced
@@ -499,17 +496,15 @@ fn take_block(buf: &mut Vec<f64>, rows: usize, cols: usize) -> DMatrix {
 /// lock-free inbox. Global id `id` lives in shard `id % shards` at local
 /// slot `id / shards`.
 struct Shard {
-    /// This shard's index (fixed at construction; names its span
-    /// histogram and keeps the parallel fan-out self-identifying).
+    /// This shard's index (fixed at construction; selects its span and
+    /// peak handles and keeps the parallel fan-out self-identifying).
     idx: usize,
     sessions: Vec<StreamSession>,
     /// Local slots of closed sessions awaiting reuse.
     free: Vec<usize>,
     inbox: Inbox,
-    /// Partials of the most recent tick (scratch; merged by the engine).
-    last: ShardTick,
-    /// Largest dense block this shard ever materialized (elements).
-    peak_panel_elems: usize,
+    /// Partials of the most recent tick (summed by the engine).
+    last: TickMetrics,
     /// Reusable assimilation scratch (see [`ShardArena`]).
     arena: ShardArena,
     /// Warning transitions classified by this shard's current tick;
@@ -525,8 +520,7 @@ impl Shard {
             sessions: Vec::new(),
             free: Vec::new(),
             inbox: Inbox::new(),
-            last: ShardTick::default(),
-            peak_panel_elems: 0,
+            last: TickMetrics::default(),
             arena: ShardArena::default(),
             audit_scratch: Vec::new(),
         }
@@ -611,15 +605,10 @@ struct TickCtx<'t> {
     sq_prefix: &'t [f64],
     config: StreamConfig,
     n_shards: usize,
-    /// Per-stage span histograms (shared across shards; recording is
-    /// lock-free).
-    spans: &'t TickSpans,
-    /// Per-rung assimilation span histograms, indexed by rung.
-    rung_spans: &'t [Arc<Histogram>],
-    /// Per-shard whole-tick span histograms, indexed by shard.
-    shard_spans: &'t [Arc<Histogram>],
+    /// Registry handles (shared across shards; recording is lock-free).
+    handles: &'t Handles,
     /// Snapshot of [`tsunami_obs::enabled`] for this tick: when false,
-    /// shards skip every clock read and record.
+    /// shards skip every span clock read and record.
     obs_on: bool,
     /// 0-based tick index stamped into audit records.
     tick_no: u64,
@@ -639,22 +628,15 @@ pub struct StreamEngine<'a> {
     shards: Vec<Shard>,
     /// Round-robin cursor for [`Self::open`] shard placement.
     next_open: usize,
-    metrics: EngineMetrics,
     /// This engine's metrics registry (see [`Self::registry`]).
     obs: Registry,
-    /// Cached per-stage span handles into `obs`.
-    spans: TickSpans,
-    /// Cached counter/gauge handles into `obs`.
-    counters: EngineCounters,
-    /// Per-rung assimilation span histograms, one per ladder rung.
-    rung_spans: Vec<Arc<Histogram>>,
-    /// Per-shard whole-tick span histograms.
-    shard_spans: Vec<Arc<Histogram>>,
+    /// Cached handles into `obs`.
+    handles: Handles,
     /// Warning-transition audit ring (see [`Self::audit`]).
     audit: AuditRing<WarningTransition>,
-    /// Pool counters at the last tick boundary; [`TickMetrics`] pool
-    /// deltas are boundary-to-boundary against this.
-    last_pool: rayon::PoolStats,
+    /// [`rayon::PoolStats::jobs`] at construction, the base of
+    /// [`EngineMetrics::pool_jobs`].
+    pool_jobs0: usize,
 }
 
 impl<'a> StreamEngine<'a> {
@@ -717,14 +699,7 @@ impl<'a> StreamEngine<'a> {
             "audit_capacity must be at least 1"
         );
         let obs = Registry::new();
-        let spans = TickSpans::new(&obs);
-        let counters = EngineCounters::new(&obs);
-        let rung_spans = (0..ladder.windows().len())
-            .map(|w| obs.histogram(&format!("stream.rung.{w}.assimilate")))
-            .collect();
-        let shard_spans = (0..config.shards)
-            .map(|i| obs.histogram(&format!("stream.shard.{i}.tick")))
-            .collect();
+        let handles = Handles::new(&obs, ladder.windows().len(), config.shards);
         StreamEngine {
             twin,
             ladder,
@@ -734,14 +709,10 @@ impl<'a> StreamEngine<'a> {
             config,
             shards: (0..config.shards).map(Shard::new).collect(),
             next_open: 0,
-            metrics: EngineMetrics::default(),
             obs,
-            spans,
-            counters,
-            rung_spans,
-            shard_spans,
+            handles,
             audit: AuditRing::new(config.audit_capacity),
-            last_pool: rayon::pool_stats(),
+            pool_jobs0: rayon::pool_stats().jobs,
         }
     }
 
@@ -860,7 +831,7 @@ impl<'a> StreamEngine<'a> {
         shard
             .sessions
             .push(StreamSession::new(id, capacity, nd, n_scen, n_proj, n_fold));
-        self.metrics.rings_allocated += 1;
+        self.handles.rings.inc();
         id
     }
 
@@ -891,7 +862,7 @@ impl<'a> StreamEngine<'a> {
         let s = &mut self.shards[si].sessions[local];
         assert!(s.active, "push into closed session {id}");
         let accepted = s.ring.push(samples);
-        self.metrics.samples_ingested += accepted;
+        self.handles.ingested.add(accepted as u64);
         accepted
     }
 
@@ -932,15 +903,30 @@ impl<'a> StreamEngine<'a> {
         self.shards.iter().flat_map(|sh| sh.sessions.iter())
     }
 
-    /// Lifetime totals.
-    pub fn metrics(&self) -> &EngineMetrics {
-        &self.metrics
+    /// Lifetime totals, read from the engine's registry (see the
+    /// [module docs](self)).
+    pub fn metrics(&self) -> EngineMetrics {
+        let h = &self.handles;
+        let get = |c: &Counter| c.get() as usize;
+        EngineMetrics {
+            ticks: get(&h.ticks),
+            assimilations: get(&h.assimilated),
+            panels: get(&h.panels),
+            samples_ingested: get(&h.ingested),
+            seconds: h.total.snapshot().sum as f64 * 1e-9,
+            peak_panel_elems: h.peak_panel.get() as usize,
+            pool_jobs: (h.pool_jobs.get() as usize).saturating_sub(self.pool_jobs0),
+            rings_allocated: get(&h.rings),
+            scratch_bytes: h.scratch_bytes.get() as usize,
+        }
     }
 
     /// Largest dense block each shard ever materialized (elements) — the
-    /// per-shard bounded-working-set record, indexed by shard.
+    /// per-shard bounded-working-set record, indexed by shard
+    /// (`stream.shard.<i>.peak_panel_elems`).
     pub fn shard_panel_peaks(&self) -> Vec<usize> {
-        self.shards.iter().map(|sh| sh.peak_panel_elems).collect()
+        let peaks = &self.handles.shard_peaks;
+        peaks.iter().map(|g| g.get() as usize).collect()
     }
 
     /// The engine's metrics registry: per-stage tick span histograms,
@@ -1019,10 +1005,9 @@ impl<'a> StreamEngine<'a> {
     /// [module docs](self) for the stages). Shards tick independently —
     /// in parallel across the persistent worker pool when `shards > 1`,
     /// with one barrier at the end — and their partial metrics are
-    /// merged here.
+    /// summed here, added to the registry, and returned.
     pub fn tick(&mut self) -> TickMetrics {
         let t0 = Instant::now();
-        let on = tsunami_obs::enabled();
         assert!(
             self.config.identify == IdentifyBackend::Exact || self.pod.is_some(),
             "mode-space identification requires an attached PodBank (with_pod)"
@@ -1037,11 +1022,9 @@ impl<'a> StreamEngine<'a> {
             sq_prefix: &self.bank_sq_prefix,
             config: self.config,
             n_shards: self.shards.len(),
-            spans: &self.spans,
-            rung_spans: &self.rung_spans,
-            shard_spans: &self.shard_spans,
-            obs_on: on,
-            tick_no: self.metrics.ticks as u64,
+            handles: &self.handles,
+            obs_on: tsunami_obs::enabled(),
+            tick_no: self.handles.ticks.get(),
         };
         if self.shards.len() > 1 {
             self.shards
@@ -1051,63 +1034,46 @@ impl<'a> StreamEngine<'a> {
             tick_shard(&mut self.shards[0], &ctx);
         }
 
+        let h = &self.handles;
         let mut m = TickMetrics::default();
-        for sh in &self.shards {
-            m.sessions_assimilated += sh.last.sessions_assimilated;
-            m.panels += sh.last.panels;
-            m.samples_scored += sh.last.samples_scored;
-            m.samples_folded += sh.last.samples_folded;
-            m.samples_projected += sh.last.samples_projected;
-            m.samples_drained += sh.last.samples_drained;
-            m.peak_panel_elems = m.peak_panel_elems.max(sh.last.peak_panel_elems);
-        }
-        self.metrics.scratch_bytes = self.shards.iter().map(|sh| sh.arena.bytes()).sum();
-        // Merge each shard's audit scratch shard-major — deterministic
-        // order for a given shard count, no locking during the fan-out.
-        let mut transitions = 0u64;
-        for si in 0..self.shards.len() {
-            let mut scratch = std::mem::take(&mut self.shards[si].audit_scratch);
-            transitions += scratch.len() as u64;
-            for t in scratch.drain(..) {
+        let mut scratch_bytes = 0;
+        // Merge each shard's partials and audit scratch shard-major —
+        // deterministic order for a given shard count, no locking during
+        // the fan-out.
+        for sh in &mut self.shards {
+            let p = &sh.last;
+            m.sessions_assimilated += p.sessions_assimilated;
+            m.panels += p.panels;
+            m.samples_scored += p.samples_scored;
+            m.samples_folded += p.samples_folded;
+            m.samples_projected += p.samples_projected;
+            m.samples_drained += p.samples_drained;
+            m.peak_panel_elems = m.peak_panel_elems.max(p.peak_panel_elems);
+            scratch_bytes += sh.arena.bytes();
+            h.transitions.add(sh.audit_scratch.len() as u64);
+            for t in sh.audit_scratch.drain(..) {
                 self.audit.push(t);
             }
-            self.shards[si].audit_scratch = scratch;
         }
-        // One pool read per tick: [`TickMetrics`] pool figures are
-        // boundary-to-boundary deltas against the previous read.
         let pool = rayon::pool_stats();
-        m.pool_jobs = pool.jobs - self.last_pool.jobs;
-        m.pool_handoffs = pool.handoffs - self.last_pool.handoffs;
-        self.last_pool = pool;
-        m.seconds = t0.elapsed().as_secs_f64();
+        let ns = t0.elapsed().as_nanos() as u64;
+        m.seconds = ns as f64 * 1e-9;
 
-        self.metrics.ticks += 1;
-        self.metrics.assimilations += m.sessions_assimilated;
-        self.metrics.panels += m.panels;
-        self.metrics.samples_ingested += m.samples_drained;
-        self.metrics.seconds += m.seconds;
-        self.metrics.peak_panel_elems = self.metrics.peak_panel_elems.max(m.peak_panel_elems);
-        self.metrics.pool_jobs += m.pool_jobs;
-        self.metrics.pool_handoffs += m.pool_handoffs;
-
-        if on {
-            self.spans.total.record_ns((m.seconds * 1e9) as u64);
-            let c = &self.counters;
-            c.ticks.inc();
-            c.assimilated.add(m.sessions_assimilated as u64);
-            c.panels.add(m.panels as u64);
-            c.drained.add(m.samples_drained as u64);
-            c.scored.add(m.samples_scored as u64);
-            c.folded.add(m.samples_folded as u64);
-            c.projected.add(m.samples_projected as u64);
-            c.transitions.add(transitions);
-            c.pool_jobs.set(pool.jobs as u64);
-            c.pool_handoffs.set(pool.handoffs as u64);
-            c.pool_wakeups.set(pool.wakeups as u64);
-            c.pool_workers.set(pool.workers_spawned as u64);
-            c.scratch_bytes.set(self.metrics.scratch_bytes as u64);
-            c.peak_panel.set(self.metrics.peak_panel_elems as u64);
-        }
+        h.total.record_ns(ns);
+        h.ticks.inc();
+        h.assimilated.add(m.sessions_assimilated as u64);
+        h.panels.add(m.panels as u64);
+        h.ingested.add(m.samples_drained as u64);
+        h.drained.add(m.samples_drained as u64);
+        h.scored.add(m.samples_scored as u64);
+        h.folded.add(m.samples_folded as u64);
+        h.projected.add(m.samples_projected as u64);
+        h.pool_jobs.set(pool.jobs as u64);
+        h.pool_handoffs.set(pool.handoffs as u64);
+        h.pool_wakeups.set(pool.wakeups as u64);
+        h.pool_workers.set(pool.workers_spawned as u64);
+        h.scratch_bytes.set(scratch_bytes as u64);
+        h.peak_panel.set_max(m.peak_panel_elems as u64);
         m
     }
 
@@ -1226,11 +1192,10 @@ fn tick_shard(shard: &mut Shard, ctx: &TickCtx<'_>) {
         inbox,
         arena,
         last,
-        peak_panel_elems,
         audit_scratch,
         free: _,
     } = shard;
-    let mut p = ShardTick::default();
+    let mut p = TickMetrics::default();
     audit_scratch.clear();
     // Span clock: off, it never reads the system clock and every lap is
     // 0; stage accumulators then stay 0 and nothing is recorded.
@@ -1499,7 +1464,7 @@ fn tick_shard(shard: &mut Shard, ctx: &TickCtx<'_>) {
             let cls_ns = sw.lap();
             classify_ns += cls_ns;
             if on {
-                ctx.rung_spans[w].record(work_ns + cls_ns);
+                ctx.handles.rung_spans[w].record(work_ns + cls_ns);
             }
             arena.panel = x.into_vec();
             arena.q_block = q.into_vec();
@@ -1511,14 +1476,15 @@ fn tick_shard(shard: &mut Shard, ctx: &TickCtx<'_>) {
         }
     }
 
+    let h = ctx.handles;
     if on {
-        ctx.spans.drain.record(drain_ns);
-        ctx.spans.identify.record(identify_ns);
-        ctx.spans.assimilate.record(assim_ns);
-        ctx.spans.classify.record(classify_ns);
-        ctx.shard_spans[*shard_idx].record(drain_ns + identify_ns + assim_ns + classify_ns);
+        h.drain.record(drain_ns);
+        h.identify.record(identify_ns);
+        h.assimilate.record(assim_ns);
+        h.classify.record(classify_ns);
+        h.shard_spans[*shard_idx].record(drain_ns + identify_ns + assim_ns + classify_ns);
     }
-    *peak_panel_elems = (*peak_panel_elems).max(p.peak_panel_elems);
+    h.shard_peaks[*shard_idx].set_max(p.peak_panel_elems as u64);
     *last = p;
 }
 

@@ -54,15 +54,16 @@
 //! - Each assimilated forecast's 95% credible band is classified into a
 //!   [`WarningLevel`] that fails closed: a non-finite band never reads
 //!   [`WarningLevel::AllClear`] ([`classify_band`]).
-//! - [`TickMetrics`] / [`EngineMetrics`] record per-tick latency,
-//!   throughput, the peak materialized panel (per shard), and the
-//!   persistent-pool dispatch counters ([`rayon::pool_stats`] deltas).
 //! - Every engine owns a [`tsunami_obs::Registry`]
-//!   ([`StreamEngine::registry`]) its ticks record per-stage, per-shard,
-//!   and per-rung span histograms into, plus a bounded warning audit ring
-//!   ([`StreamEngine::audit`]) of [`WarningTransition`] records — see the
-//!   [`engine`] module docs for the naming scheme and the `OBS=off` kill
-//!   switch.
+//!   ([`StreamEngine::registry`]), the one store of its counts: lifetime
+//!   counters and working-set and pool gauges always record, per-stage,
+//!   per-shard, and per-rung span histograms only while `OBS` is on.
+//!   Each tick returns its [`TickMetrics`] (latency, throughput, peak
+//!   materialized panel); [`StreamEngine::metrics`] reads the lifetime
+//!   [`EngineMetrics`] back from the registry. A bounded warning audit
+//!   ring ([`StreamEngine::audit`]) keeps [`WarningTransition`] records —
+//!   see the [`engine`] module docs for the naming scheme and the
+//!   `OBS=off` kill switch.
 
 pub mod engine;
 pub mod identify;

@@ -430,7 +430,7 @@ fn sharded_engine_is_invariant_in_the_shard_count() {
                 )
             })
             .collect();
-        let totals = *engine.metrics();
+        let totals = engine.metrics();
         (products, totals)
     };
 

@@ -128,7 +128,7 @@ fn main() {
         .enumerate()
         .filter(|(j, &id)| engine.ranked_matches(id)[0].scenario == *j)
         .count();
-    let em = *engine.metrics();
+    let em = engine.metrics();
     println!("\n--- scorecard ---");
     println!("identified {correct}/{} streams correctly", bank.len());
     println!(

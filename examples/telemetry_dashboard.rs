@@ -18,9 +18,10 @@
 //! cargo run --release --example telemetry_dashboard
 //! ```
 //!
-//! Set `OBS=off` to disable all recording: the dashboard then prints an
-//! empty registry while the engine runs at its uninstrumented speed (the
-//! `service_scale` bench gates that overhead at ≤ 1% per tick).
+//! Set `OBS=off` to disable the spans: the stage and per-rung tables
+//! then read zero records while the lifetime counters, gauges, and
+//! `stream.tick.total` still fill the exposition (the `service_scale`
+//! bench gates the span overhead at ≤ 1% per tick).
 
 use cascadia_dt::obs::{validate_exposition, Metric};
 use cascadia_dt::prelude::*;
@@ -76,7 +77,7 @@ fn main() {
         }
         engine.tick();
     }
-    let em = *engine.metrics();
+    let em = engine.metrics();
     println!(
         "replayed {} ticks: {} assimilations, {} panels, total {:.2} ms\n",
         em.ticks,
